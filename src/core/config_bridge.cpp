@@ -1,5 +1,6 @@
 #include "core/config_bridge.hpp"
 
+#include <limits>
 #include <set>
 
 #include "app/graph_io.hpp"
@@ -16,7 +17,10 @@ const std::set<std::string>& known_keys() {
         "guard_band", "criticality_threshold", "criticality_mode",
         "vf_policy", "mapper", "abort_tests", "faults", "fault_rate",
         "capping", "gate_delay_ms", "segmented", "sessions", "hard_rt_share",
-        "soft_rt_share", "noc_testing", "link_fault_rate", "epoch_workers",
+        "soft_rt_share", "noc_testing", "link_fault_rate",
+        // Retired in-run thread count: accepted and ignored so old config
+        // files, sweep specs and scripts still parse (a run is serial).
+        "epoch_workers",
         // Keys consumed by the CLI itself, accepted here so a shared file
         // can hold both.
         "seconds", "config", "out", "out_dir", "trace", "trace_capacity",
@@ -72,6 +76,21 @@ CriticalityMode parse_crit_mode(const std::string& name) {
     if (name == "hybrid") return CriticalityMode::Hybrid;
     MCS_REQUIRE(false, "unknown criticality mode: " + name);
     return CriticalityMode::UtilizationDriven;
+}
+
+/// Reads a millisecond key as a SimDuration, rejecting values below
+/// `min_ms` (a negative value would wrap the unsigned clock) and values so
+/// large that the schedulers' period arithmetic (up to 16 periods plus the
+/// clock) could overflow it.
+SimDuration duration_ms(const Config& cfg, const std::string& key,
+                        std::int64_t fallback, std::int64_t min_ms) {
+    constexpr std::int64_t kMaxMs = static_cast<std::int64_t>(
+        std::numeric_limits<SimDuration>::max() / 64 / kMillisecond);
+    const std::int64_t ms = cfg.get_int(key, fallback);
+    MCS_REQUIRE(ms >= min_ms && ms <= kMaxMs,
+                key + " must be in [" + std::to_string(min_ms) + ", " +
+                    std::to_string(kMaxMs) + "] ms");
+    return static_cast<SimDuration>(ms) * kMillisecond;
 }
 
 }  // namespace
@@ -148,8 +167,7 @@ SystemConfig system_config_from(const Config& cfg) {
     sys.scheduler = parse_scheduler(
         cfg.get_string("scheduler", "power-aware"));
     sys.periodic_test_period =
-        static_cast<SimDuration>(cfg.get_int("test_period_ms", 1000)) *
-        kMillisecond;
+        duration_ms(cfg, "test_period_ms", 1000, /*min_ms=*/1);
     sys.power_aware.guard_band_fraction = cfg.get_double("guard_band", 0.04);
     sys.power_aware.criticality_threshold =
         cfg.get_double("criticality_threshold", 0.5);
@@ -194,15 +212,7 @@ SystemConfig system_config_from(const Config& cfg) {
         MCS_REQUIRE(capping == "pid", "unknown capping mode: " + capping);
     }
     sys.power.gate_delay =
-        static_cast<SimDuration>(cfg.get_int("gate_delay_ms", 2)) *
-        kMillisecond;
-
-    // Execution knob, not simulation state: any worker count produces
-    // byte-identical output (and composes with campaign --jobs, each
-    // replica getting its own team).
-    sys.epoch_workers = static_cast<int>(cfg.get_int("epoch_workers", 1));
-    MCS_REQUIRE(sys.epoch_workers >= 0,
-                "epoch_workers must be >= 0 (0 = one per hardware thread)");
+        duration_ms(cfg, "gate_delay_ms", 2, /*min_ms=*/0);
     return sys;
 }
 

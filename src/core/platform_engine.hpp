@@ -85,9 +85,8 @@ public:
     void load_state(const telemetry::JsonValue& doc);
 
 private:
-    /// Sharded fill of the chip's power lane: power_w[i] = current draw of
-    /// core i across the epoch worker team (pure per-core reads of the
-    /// state/vf/temperature lanes; disjoint writes).
+    /// Fills the chip's power lane: power_w[i] = current draw of core i
+    /// from the state/vf/temperature lanes.
     void fill_power_lane();
 
     SystemContext& ctx_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <limits>
 #include <ostream>
 #include <string_view>
 #include <utility>
@@ -132,9 +133,6 @@ void hash_structural(Fingerprint& fp, const SystemConfig& cfg) {
 
 void hash_full(Fingerprint& fp, const SystemConfig& cfg) {
     hash_structural(fp, cfg);
-    // cfg.epoch_workers is deliberately NOT hashed: it is a pure execution
-    // knob (byte-identical output for any value), so snapshots captured at
-    // one worker count restore at any other.
     fp.u64(cfg.seed);
     fp.f64(cfg.tdp_scale);
 
@@ -703,6 +701,13 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
                     "snapshot event at or before the capture point");
         const std::uint64_t a = entry.at("a").u64();
         const std::uint64_t b = entry.at("b").u64();
+        // Core, task and link ids are 32-bit: a wider argument must fail
+        // here rather than wrap into a valid-looking id.
+        auto id32 = [](std::uint64_t v) {
+            MCS_REQUIRE(v <= std::numeric_limits<std::uint32_t>::max(),
+                        "snapshot event argument out of range");
+            return static_cast<std::uint32_t>(v);
+        };
         bool matched = false;
         for (std::size_t slot = 0; slot < kEpochKinds.size(); ++slot) {
             if (kind == kEpochKinds[slot]) {
@@ -718,16 +723,14 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
             workload_->schedule_restored_arrival(
                 static_cast<std::size_t>(a), when);
         } else if (kind == "task_complete") {
-            workload_->schedule_restored_completion(static_cast<CoreId>(a),
-                                                    when);
+            workload_->schedule_restored_completion(id32(a), when);
         } else if (kind == "edge") {
             workload_->schedule_restored_edge(static_cast<std::size_t>(a),
-                                              static_cast<TaskIndex>(b),
-                                              when);
+                                              id32(b), when);
         } else if (kind == "test_session_complete") {
-            test_->schedule_restored_session(static_cast<CoreId>(a), when);
+            test_->schedule_restored_session(id32(a), when);
         } else if (kind == "link_test_complete") {
-            test_->schedule_restored_link_test(static_cast<LinkId>(a), when);
+            test_->schedule_restored_link_test(id32(a), when);
         } else if (kind == "scenario") {
             MCS_REQUIRE(scenario_ != nullptr,
                         "snapshot has a pending scenario directive but no "

@@ -130,30 +130,24 @@ void WorkloadEngine::rebuild_view(PlatformViewCache& cache) {
     auto& alloc = cache.allocatable_buf();
     auto& testing = cache.testing_buf();
     auto& util = cache.utilization_buf();
-    // Pure per-core reads into slots indexed by core id -- sharded across
-    // the epoch worker team (identical values for any worker count).
-    ctx_.epoch.for_slabs(
-        ctx_.chip.core_count(), [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-                const Core& c = ctx_.chip.core(static_cast<CoreId>(i));
-                bool ok = !c.reserved();
-                switch (c.state()) {
-                    case CoreState::Idle:
-                    case CoreState::Dark:
-                        break;
-                    case CoreState::Testing:
-                        ok = ok && ctx_.cfg.abort_tests_for_mapping;
-                        break;
-                    case CoreState::Busy:
-                    case CoreState::Faulty:
-                        ok = false;
-                        break;
-                }
-                alloc[c.id()] = ok ? 1 : 0;
-                testing[c.id()] = c.is_testing() ? 1 : 0;
-                util[c.id()] = c.busy_fraction(now);
-            }
-        });
+    for (const Core& c : ctx_.chip.cores()) {
+        bool ok = !c.reserved();
+        switch (c.state()) {
+            case CoreState::Idle:
+            case CoreState::Dark:
+                break;
+            case CoreState::Testing:
+                ok = ok && ctx_.cfg.abort_tests_for_mapping;
+                break;
+            case CoreState::Busy:
+            case CoreState::Faulty:
+                ok = false;
+                break;
+        }
+        alloc[c.id()] = ok ? 1 : 0;
+        testing[c.id()] = c.is_testing() ? 1 : 0;
+        util[c.id()] = c.busy_fraction(now);
+    }
     PlatformView& view = cache.view();
     view.criticality = ctx_.platform->refresh_criticality(now);
     view.temperature_c = ctx_.thermal->temps_c();
@@ -452,9 +446,14 @@ void WorkloadEngine::load_state(const telemetry::JsonValue& doc) {
         app.done = a.at("done").boolean;
         app.corrupted = a.at("corrupted").boolean;
         app.tasks_done = static_cast<std::size_t>(a.at("tasks_done").u64());
+        MCS_REQUIRE(app.tasks_done <= app.spec.graph.size(),
+                    "snapshot workload: more tasks done than the graph has");
         app.task_core.clear();
         for (const auto& c : a.at("task_core").array) {
-            app.task_core.push_back(static_cast<CoreId>(c.u64()));
+            const std::uint64_t core = c.u64();
+            MCS_REQUIRE(core < ctx_.chip.core_count(),
+                        "snapshot workload: mapped core out of range");
+            app.task_core.push_back(static_cast<CoreId>(core));
         }
         MCS_REQUIRE(app.task_core.empty() ||
                         app.task_core.size() == app.spec.graph.size(),
@@ -463,6 +462,8 @@ void WorkloadEngine::load_state(const telemetry::JsonValue& doc) {
         for (const auto& n : a.at("waiting").array) {
             app.waiting.push_back(static_cast<std::uint32_t>(n.u64()));
         }
+        MCS_REQUIRE(app.waiting.size() == app.task_core.size(),
+                    "snapshot workload: waiting/mapping size mismatch");
     }
     const auto& pending = doc.at("pending").array;
     MCS_REQUIRE(pending.size() == pending_.size(),
@@ -485,12 +486,15 @@ void WorkloadEngine::load_state(const telemetry::JsonValue& doc) {
         CoreExec& ex = core_exec_[c];
         ex.active = e.at("active").boolean;
         ex.app_index = static_cast<std::size_t>(e.at("app").u64());
-        ex.task = static_cast<TaskIndex>(e.at("task").u64());
+        const std::uint64_t task = e.at("task").u64();
+        MCS_REQUIRE(!ex.active ||
+                        (ex.app_index < apps_.size() &&
+                         task < apps_[ex.app_index].task_core.size()),
+                    "snapshot workload: executing task out of range");
+        ex.task = static_cast<TaskIndex>(task);
         ex.remaining_cycles = e.at("remaining").number;
         ex.last_progress = e.at("last_progress").u64();
         ex.completion = EventId{};  // re-created from the event manifest
-        MCS_REQUIRE(!ex.active || ex.app_index < apps_.size(),
-                    "snapshot workload: executing app out of range");
     }
     mapping_rounds_ = doc.at("mapping_rounds").u64();
     mapping_attempts_ = doc.at("mapping_attempts").u64();
@@ -576,8 +580,9 @@ void WorkloadEngine::schedule_restored_completion(CoreId core, SimTime when) {
 
 void WorkloadEngine::schedule_restored_edge(std::size_t app_index,
                                             TaskIndex dst, SimTime when) {
-    MCS_REQUIRE(app_index < apps_.size(),
-                "snapshot manifest: edge app out of range");
+    MCS_REQUIRE(app_index < apps_.size() &&
+                    dst < apps_[app_index].waiting.size(),
+                "snapshot manifest: edge target out of range");
     const std::uint64_t seq = ctx_.sim.next_event_seq();
     ctx_.sim.schedule_at(when, [this, app_index, dst, seq] {
         inflight_edges_.erase(seq);

@@ -11,10 +11,10 @@
 
 #include "core/system_factory.hpp"
 #include "runner/result_sink.hpp"
-#include "runner/thread_pool.hpp"
 #include "sim/time.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mcs {
 namespace {

@@ -101,6 +101,42 @@ TEST(ConfigBridge, BadEnumValuesRejected) {
     }
 }
 
+TEST(ConfigBridge, DurationsMustBeInRange) {
+    // Millisecond keys become unsigned nanoseconds: a negative value used
+    // to wrap to ~1.8e19 ns (test_period_ms=-5 meant "almost never test",
+    // gate_delay_ms=-1 meant "never gate") instead of failing.
+    for (const auto& [key, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"test_period_ms", "-5"},
+             {"test_period_ms", "0"},
+             {"gate_delay_ms", "-1"},
+             {"test_period_ms", "9223372036854775807"},
+             {"gate_delay_ms", "18446744073709"}}) {
+        Config c;
+        c.set(key, value);
+        try {
+            system_config_from(c);
+            ADD_FAILURE() << key << "=" << value << " accepted";
+        } catch (const RequireError& e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
+    Config zero_gate;
+    zero_gate.set("gate_delay_ms", "0");
+    EXPECT_EQ(system_config_from(zero_gate).power.gate_delay, 0u);
+    Config year;
+    year.set("test_period_ms", "31536000000");
+    EXPECT_EQ(system_config_from(year).periodic_test_period,
+              31'536'000'000 * kMillisecond);
+}
+
+TEST(ConfigBridge, RetiredEpochWorkersKeyIsIgnored) {
+    Config c;
+    c.set("epoch_workers", "4");
+    EXPECT_NO_THROW(system_config_from(c));
+}
+
 TEST(ConfigBridge, GraphFileFeedsLibrary) {
     const std::string path = ::testing::TempDir() + "/bridge_graph.tg";
     {

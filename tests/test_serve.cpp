@@ -530,6 +530,37 @@ TEST_F(ServeServiceTest, NegativeResultsAreCachedAndByteStable) {
     EXPECT_EQ(doc.at("counters").at("serve.cache_misses").number, 1.0);
 }
 
+TEST_F(ServeServiceTest, NegativeDurationOverridesAre400) {
+    // Millisecond overrides reach the unsigned nanosecond clock; a
+    // non-positive period or a negative gate delay must be a (negatively
+    // cached) 400 naming the key, not a run with a wrapped-around duration.
+    for (const auto& [key, overrides] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"test_period_ms",
+              "\"scheduler\":\"periodic\",\"test_period_ms\":-5"},
+             {"test_period_ms", "\"test_period_ms\":0"},
+             {"gate_delay_ms", "\"gate_delay_ms\":-1"}}) {
+        const std::string body =
+            "{\"schema\":\"mcs.whatif_query.v1\",\"snapshot\":\"warm\","
+            "\"overrides\":{" + overrides + "}}";
+        const HttpResponse first = service_.handle(whatif_request(body));
+        EXPECT_EQ(first.status, 400) << overrides << ": " << first.body;
+        EXPECT_NE(first.body.find(key), std::string::npos) << first.body;
+        const HttpResponse second = service_.handle(whatif_request(body));
+        EXPECT_EQ(second.status, 400);
+        EXPECT_EQ(header(second, "X-Cache"), "hit");
+    }
+    EXPECT_EQ(service_.cache().negative_size(), 3u);
+    // A zero gate delay (gate at once) stays a valid fork.
+    EXPECT_EQ(service_
+                  .handle(whatif_request(
+                      "{\"schema\":\"mcs.whatif_query.v1\","
+                      "\"snapshot\":\"warm\","
+                      "\"overrides\":{\"gate_delay_ms\":0}}"))
+                  .status,
+              200);
+}
+
 TEST_F(ServeServiceTest, ReloadSwapsPoolAndPinnedGenerationSurvives) {
     const std::string body =
         "{\"schema\":\"mcs.whatif_query.v1\",\"snapshot\":\"warm\","
