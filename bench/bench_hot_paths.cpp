@@ -28,6 +28,7 @@
 #include "core/workload_engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "util/require.hpp"
 #include "util/rng.hpp"
 
 using namespace mcs;
@@ -137,24 +138,24 @@ int main(int argc, char** argv) {
         EventQueue q;
         PopHash hash;
         std::uint64_t popped = 0;
-        // pop() returns (time, callback); the callback carries its own seq
+        // Each event's payload carries its own seq (seqs count up from 1)
         // so the hash records payload identity -- FIFO within a tie is
         // observable, not just the timestamp order.
-        std::uint64_t cur_seq = 0;
+        std::uint64_t scheduled = 0;
         const auto t0 = std::chrono::steady_clock::now();
         run_epoch_mix(
             kRounds,
             [&](SimTime when) {
-                const std::uint64_t seq = q.next_seq();
-                q.schedule(when, [seq, &cur_seq] { cur_seq = seq; });
+                const std::uint64_t seq = ++scheduled;
+                MCS_REQUIRE(q.schedule(when, Event{0, seq, 0}).seq == seq,
+                            "payload seq out of step with the queue");
                 return seq;
             },
             [&](std::uint64_t seq) { q.cancel(EventId{seq}); },
             [&](SimTime now) {
                 while (!q.empty() && q.next_time() <= now) {
-                    const auto [when, cb] = q.pop();
-                    cb();
-                    hash.add(when, cur_seq);
+                    const EventQueue::Entry e = q.pop();
+                    hash.add(e.when, e.event.a);
                     ++popped;
                 }
             });

@@ -24,7 +24,7 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
     Rng rng(1);
     for (auto _ : state) {
         for (std::size_t i = 0; i < batch; ++i) {
-            q.schedule(rng.next_u64() % 1'000'000, [] {});
+            q.schedule(rng.next_u64() % 1'000'000, Event{});
         }
         while (!q.empty()) {
             benchmark::DoNotOptimize(q.pop());
@@ -42,7 +42,7 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
         std::vector<EventId> ids;
         ids.reserve(1024);
         for (int i = 0; i < 1024; ++i) {
-            ids.push_back(q.schedule(rng.next_u64() % 1'000'000, [] {}));
+            ids.push_back(q.schedule(rng.next_u64() % 1'000'000, Event{}));
         }
         for (std::size_t i = 0; i < ids.size(); i += 2) {
             q.cancel(ids[i]);
@@ -70,7 +70,7 @@ void BM_EventQueueEpochMix(benchmark::State& state) {
         for (int round = 0; round < 256; ++round) {
             for (int i = 0; i < 16; ++i) {
                 live.push_back(
-                    q.schedule(now + kEpoch * (1 + rng.index(64)), [] {}));
+                    q.schedule(now + kEpoch * (1 + rng.index(64)), Event{}));
             }
             for (int i = 0; i < 4 && !live.empty(); ++i) {
                 const std::size_t j = rng.index(live.size());

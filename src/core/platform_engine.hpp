@@ -31,8 +31,8 @@ public:
     PlatformEngine(const PlatformEngine&) = delete;
     PlatformEngine& operator=(const PlatformEngine&) = delete;
 
-    // --- periodic controller epochs (wired to Simulator::every by the
-    //     façade, in its canonical registration order) ---
+    // --- periodic controller epochs (run by the façade's epoch events,
+    //     scheduled in its canonical order) ---
     void power_epoch();
     void thermal_epoch();
     void wear_epoch();

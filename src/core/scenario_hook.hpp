@@ -5,13 +5,12 @@
 // the concrete player (spec parsing, directive dispatch) lives one layer
 // up so core/ never depends on the scenario grammar. A driver attached via
 // ManycoreSystem::attach_scenario participates in the run like any other
-// engine: run() calls begin() once, the snapshot writer asks it for its
-// pending-event manifest slice and its state object, and restore replays
-// its pending directive event and re-applies its side effects in the
-// documented order (see snapshot.cpp).
+// engine: run() calls begin() once, the façade hands it each of its
+// `scenario` events (core/event_kind.hpp), the snapshot writer asks it for
+// its state object, and restore checks its pending directive event and
+// re-applies its side effects in the documented order (see snapshot.cpp).
 
 #include <cstdint>
-#include <vector>
 
 #include "core/snapshot.hpp"
 #include "sim/time.hpp"
@@ -32,11 +31,10 @@ public:
     /// against `horizon` and schedule the first directive event.
     virtual void begin(SimDuration horizon) = 0;
 
-    /// Appends one manifest entry per pending scenario event (drivers
-    /// chain directives, so at most one is pending: kind "scenario",
-    /// a = directive index).
-    virtual void append_event_manifest(
-        std::vector<SnapshotEvent>& out) const = 0;
+    /// Runs this driver's `scenario` event for directive `index` (drivers
+    /// chain directives: firing one schedules the next, so at most one is
+    /// pending).
+    virtual void fire(std::uint64_t index) = 0;
 
     /// Complete driver state as one JSON object (identity fingerprint plus
     /// replay position); loaded back only into a driver with a matching
@@ -56,10 +54,11 @@ public:
     /// replayed onto the restored budget).
     virtual void reapply_restored() = 0;
 
-    /// Restore step C (manifest replay): re-schedule the pending directive
-    /// event exactly where the captured queue had it.
-    virtual void schedule_restored_directive(std::uint64_t index,
-                                             SimTime when) = 0;
+    /// Restore step C (manifest replay): true when a captured `scenario`
+    /// event for directive `index` at `when` is the one this driver's
+    /// loaded replay position expects next.
+    virtual bool expects_directive(std::uint64_t index,
+                                   SimTime when) const = 0;
 };
 
 }  // namespace mcs

@@ -1,14 +1,15 @@
 #include "core/snapshot.hpp"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <limits>
 #include <ostream>
+#include <set>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "core/event_kind.hpp"
 #include "core/platform_engine.hpp"
 #include "core/scenario_hook.hpp"
 #include "core/system.hpp"
@@ -23,13 +24,6 @@
 namespace mcs {
 
 namespace {
-
-// Manifest kinds of the five periodic epochs, indexed by the facade's
-// canonical registration slot (the order is part of the behavioral
-// contract -- see ManycoreSystem::run).
-constexpr std::array<std::string_view, 5> kEpochKinds = {
-    "power_epoch", "thermal_epoch", "test_epoch", "wear_epoch",
-    "trace_epoch"};
 
 // ------------------------------------------------------- fingerprinting
 
@@ -426,34 +420,14 @@ void ManycoreSystem::write_snapshot(std::ostream& out,
     Simulator& sim = ctx_->sim;
     const SimTime now = sim.now();
 
-    // Assemble the typed event manifest first: its invariants double as
-    // capture-time checks that no pending event escaped serialization.
-    std::vector<SnapshotEvent> events;
-    for (std::size_t slot = 0; slot < epoch_ids_.size(); ++slot) {
-        MCS_REQUIRE(epoch_ids_[slot] != 0,
-                    "snapshot capture requires registered epochs");
-        const EventId id =
-            sim.periodic_event(Simulator::PeriodicHandle{epoch_ids_[slot]});
-        events.push_back({std::string(kEpochKinds[slot]), sim.event_time(id),
-                          id.seq, 0, 0});
-    }
-    workload_->append_event_manifest(events);
-    test_->append_event_manifest(events);
-    if (scenario_ != nullptr) {
-        scenario_->append_event_manifest(events);
-    }
-    MCS_REQUIRE(events.size() == sim.pending_events(),
-                "snapshot manifest does not cover every pending event");
-    for (const SnapshotEvent& e : events) {
+    // The manifest is the queue itself, in ascending sequence = the
+    // captured scheduling order; restore replays in this order so ties at
+    // equal timestamps stay identical.
+    const std::vector<EventQueue::Entry> events = sim.pending_entries();
+    for (const EventQueue::Entry& e : events) {
         MCS_REQUIRE(e.when > now,
                     "pending event at or before the capture point");
     }
-    // Ascending original sequence = the captured scheduling order; restore
-    // replays in this order so ties at equal timestamps stay identical.
-    std::sort(events.begin(), events.end(),
-              [](const SnapshotEvent& a, const SnapshotEvent& b) {
-                  return a.seq < b.seq;
-              });
 
     telemetry::JsonWriter w(out);
     w.begin_object();
@@ -544,13 +518,13 @@ void ManycoreSystem::write_snapshot(std::ostream& out,
 
     w.key("events");
     w.begin_array();
-    for (const SnapshotEvent& e : events) {
+    for (const EventQueue::Entry& e : events) {
         w.begin_object();
-        w.field("kind", std::string_view(e.kind));
+        w.field("kind", event_kind_name(e.event.kind));
         w.field("when", e.when);
         w.field("seq", e.seq);
-        w.field("a", e.a);
-        w.field("b", e.b);
+        w.field("a", e.event.a);
+        w.field("b", e.event.b);
         w.end_object();
     }
     w.end_array();
@@ -680,17 +654,23 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
     }
 
     // 3. Clock, then the event manifest in ascending captured sequence.
-    //    Each dispatch schedules exactly one event, so the rebuilt queue
-    //    breaks timestamp ties exactly as the captured one did.
+    //    Each entry schedules exactly one event through the helper the live
+    //    run uses for its kind, so the rebuilt queue breaks timestamp ties
+    //    exactly as the captured one did.
     ctx_->sim.restore_clock(now, executed);
     // Older snapshots predate the cancellation counter; they restore as 0.
     ctx_->sim.restore_cancelled(
         doc.has("cancelled") ? doc.at("cancelled").u64() : 0);
     const auto& events = doc.at("events").array;
+    std::array<bool, kEpochKindCount> epoch_seen{};
+    // (kind, id) of every completion: one session or task per core or link.
+    std::set<std::pair<EventKind, std::uint64_t>> completions;
     std::uint64_t prev_seq = 0;
     bool first = true;
     for (const auto& entry : events) {
-        const std::string& kind = entry.at("kind").string;
+        const std::optional<EventKind> kind =
+            event_kind_from_name(entry.at("kind").string);
+        MCS_REQUIRE(kind.has_value(), "unknown snapshot event kind");
         const SimTime when = entry.at("when").u64();
         const std::uint64_t seq = entry.at("seq").u64();
         MCS_REQUIRE(first || seq > prev_seq,
@@ -708,44 +688,58 @@ void ManycoreSystem::restore(const telemetry::JsonValue& doc,
                         "snapshot event argument out of range");
             return static_cast<std::uint32_t>(v);
         };
-        bool matched = false;
-        for (std::size_t slot = 0; slot < kEpochKinds.size(); ++slot) {
-            if (kind == kEpochKinds[slot]) {
-                register_epoch(slot, when);
-                matched = true;
+        auto unique_completion = [&] {
+            MCS_REQUIRE(completions.emplace(*kind, a).second,
+                        "snapshot manifest: duplicate completion");
+        };
+        switch (*kind) {
+            case EventKind::Arrival:
+                workload_->schedule_arrival(static_cast<std::size_t>(a),
+                                            when);
+                break;
+            case EventKind::TaskComplete:
+                unique_completion();
+                workload_->schedule_completion(id32(a), when);
+                break;
+            case EventKind::Edge:
+                workload_->schedule_edge(static_cast<std::size_t>(a),
+                                         id32(b), when);
+                break;
+            case EventKind::TestSessionComplete:
+                unique_completion();
+                test_->schedule_session_event(id32(a), when);
+                break;
+            case EventKind::LinkTestComplete:
+                unique_completion();
+                test_->schedule_link_test(id32(a), when);
+                break;
+            case EventKind::Scenario:
+                MCS_REQUIRE(scenario_ != nullptr,
+                            "snapshot has a pending scenario directive but "
+                            "no scenario is attached");
+                MCS_REQUIRE(scenario_->expects_directive(a, when),
+                            "snapshot scenario: pending directive does not "
+                            "match the replay position");
+                ctx_->sim.schedule_at(when,
+                                      make_event(EventKind::Scenario, a));
+                break;
+            default: {
+                const std::size_t slot = static_cast<std::size_t>(*kind) -
+                                         static_cast<std::size_t>(
+                                             kFirstEpochKind);
+                MCS_REQUIRE(a == 0 && b == 0,
+                            "snapshot epoch event carries arguments");
+                MCS_REQUIRE(!epoch_seen[slot],
+                            "snapshot has a duplicate epoch event");
+                epoch_seen[slot] = true;
+                schedule_epoch(*kind, when);
                 break;
             }
         }
-        if (matched) {
-            continue;
-        }
-        if (kind == "arrival") {
-            workload_->schedule_restored_arrival(
-                static_cast<std::size_t>(a), when);
-        } else if (kind == "task_complete") {
-            workload_->schedule_restored_completion(id32(a), when);
-        } else if (kind == "edge") {
-            workload_->schedule_restored_edge(static_cast<std::size_t>(a),
-                                              id32(b), when);
-        } else if (kind == "test_session_complete") {
-            test_->schedule_restored_session(id32(a), when);
-        } else if (kind == "link_test_complete") {
-            test_->schedule_restored_link_test(id32(a), when);
-        } else if (kind == "scenario") {
-            MCS_REQUIRE(scenario_ != nullptr,
-                        "snapshot has a pending scenario directive but no "
-                        "scenario is attached");
-            scenario_->schedule_restored_directive(a, when);
-        } else {
-            MCS_REQUIRE(false, "unknown snapshot event kind");
-        }
     }
-    for (std::size_t slot = 0; slot < epoch_ids_.size(); ++slot) {
-        MCS_REQUIRE(epoch_ids_[slot] != 0,
-                    "snapshot is missing a periodic epoch event");
+    for (const bool seen : epoch_seen) {
+        MCS_REQUIRE(seen, "snapshot is missing a periodic epoch event");
     }
-    MCS_REQUIRE(ctx_->sim.pending_events() == events.size(),
-                "restored pending events do not match the manifest");
     restored_ = true;
 }
 

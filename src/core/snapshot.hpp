@@ -11,14 +11,14 @@
 //   substrate     -- clock, chip cores, NoC, budget, map RNG, metrics,
 //                    registry, tracer ring (when one is attached)
 //   engines       -- workload / test / platform component state
-//   events        -- typed manifest of every pending simulator event
+//   events        -- every pending simulator event, as the queue holds it
 //
-// The std::function callbacks inside the event queue cannot be serialized;
-// instead each engine contributes typed manifest entries (kind + time +
-// original sequence number + small args) and restore re-schedules them in
-// ascending original-sequence order. Scheduling order determines sequence
-// numbers, so ties at equal timestamps replay in the captured order and the
-// continuation is event-for-event identical. See docs/checkpoint.md.
+// Pending events are plain data (kind + time + sequence number + two
+// arguments; core/event_kind.hpp), so the manifest is the queue's pending
+// entries in ascending sequence order, and restore schedules them again in
+// that order. Scheduling order determines sequence numbers, so ties at
+// equal timestamps replay in the captured order and the continuation is
+// event-for-event identical. See docs/checkpoint.md.
 
 #include <cstdint>
 #include <optional>
@@ -46,18 +46,6 @@ struct RestoreOptions {
     /// fork-from-checkpoint campaign workflow varies policy knobs across
     /// replicas, but component state vectors must keep their meaning.
     bool relax_config = false;
-};
-
-/// One pending simulator event in the snapshot manifest. `kind` selects the
-/// restore dispatcher; `a`/`b` are kind-specific small arguments (core id,
-/// application index, task index, link id). `seq` is the event's sequence
-/// number in the captured run and defines the replay order.
-struct SnapshotEvent {
-    std::string kind;
-    SimTime when = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
 };
 
 /// FNV-1a hash (16 lowercase hex digits) over the structure-defining

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <utility>
 
+#include "core/event_kind.hpp"
 #include "core/platform_engine.hpp"
 #include "core/scenario_hook.hpp"
 #include "core/system_context.hpp"
@@ -51,6 +52,7 @@ ManycoreSystem::ManycoreSystem(SystemConfig cfg)
       telemetry_obs_(std::make_unique<telemetry::TelemetryObserver>(
           ctx_->registry)) {
     ctx_->observers.add(telemetry_obs_.get());
+    ctx_->sim.set_dispatcher([this](const Event& e) { dispatch(e); });
 }
 
 ManycoreSystem::~ManycoreSystem() = default;
@@ -108,33 +110,76 @@ void ManycoreSystem::checkpoint_at(SimTime when, std::string path) {
 
 namespace {
 
-SimDuration epoch_period(const SystemConfig& cfg, std::size_t slot) {
-    switch (slot) {
-        case 0: return cfg.power_epoch;
-        case 1: return cfg.thermal_epoch;
-        case 2: return cfg.test_epoch;
-        case 3: return cfg.wear_epoch;
-        case 4: return cfg.trace_epoch;
+SimDuration epoch_period(const SystemConfig& cfg, EventKind kind) {
+    switch (kind) {
+        case EventKind::PowerEpoch: return cfg.power_epoch;
+        case EventKind::ThermalEpoch: return cfg.thermal_epoch;
+        case EventKind::TestEpoch: return cfg.test_epoch;
+        case EventKind::WearEpoch: return cfg.wear_epoch;
+        case EventKind::TraceEpoch: return cfg.trace_epoch;
+        default: break;
     }
-    MCS_REQUIRE(false, "epoch slot out of range");
+    MCS_REQUIRE(false, "not an epoch kind");
     return 0;
 }
 
 }  // namespace
 
-void ManycoreSystem::register_epoch(std::size_t slot, SimTime first_at) {
-    MCS_REQUIRE(slot < epoch_ids_.size(), "epoch slot out of range");
-    MCS_REQUIRE(epoch_ids_[slot] == 0, "epoch already registered");
-    std::function<void(SimTime)> cb;
-    switch (slot) {
-        case 0: cb = [this](SimTime) { platform_->power_epoch(); }; break;
-        case 1: cb = [this](SimTime) { platform_->thermal_epoch(); }; break;
-        case 2: cb = [this](SimTime) { test_->test_epoch(); }; break;
-        case 3: cb = [this](SimTime) { platform_->wear_epoch(); }; break;
-        case 4: cb = [this](SimTime) { platform_->trace_epoch(); }; break;
+void ManycoreSystem::schedule_epoch(EventKind kind, SimTime when) {
+    MCS_REQUIRE(epoch_period(cfg_, kind) > 0,
+                "epoch periods must be positive");
+    ctx_->sim.schedule_at(when, make_event(kind));
+}
+
+// An epoch schedules its next firing before it runs, so at `now + period`
+// that firing sorts ahead of anything the epoch schedules for the same
+// instant (the tie order of every golden).
+void ManycoreSystem::dispatch(const Event& e) {
+    const auto kind = static_cast<EventKind>(e.kind);
+    const SimTime now = ctx_->sim.now();
+    switch (kind) {
+        case EventKind::Arrival:
+            workload_->on_arrival(e.a);
+            return;
+        case EventKind::TaskComplete:
+            workload_->on_task_complete(static_cast<CoreId>(e.a));
+            return;
+        case EventKind::Edge:
+            workload_->deliver_edge(e.a, static_cast<TaskIndex>(e.b));
+            return;
+        case EventKind::TestSessionComplete:
+            test_->on_session_event(static_cast<CoreId>(e.a));
+            return;
+        case EventKind::LinkTestComplete:
+            test_->on_link_test_complete(static_cast<LinkId>(e.a));
+            return;
+        case EventKind::Scenario:
+            MCS_REQUIRE(scenario_ != nullptr,
+                        "scenario event without an attached scenario");
+            scenario_->fire(e.a);
+            return;
+        case EventKind::PowerEpoch:
+            schedule_epoch(kind, now + cfg_.power_epoch);
+            platform_->power_epoch();
+            return;
+        case EventKind::ThermalEpoch:
+            schedule_epoch(kind, now + cfg_.thermal_epoch);
+            platform_->thermal_epoch();
+            return;
+        case EventKind::TestEpoch:
+            schedule_epoch(kind, now + cfg_.test_epoch);
+            test_->test_epoch();
+            return;
+        case EventKind::WearEpoch:
+            schedule_epoch(kind, now + cfg_.wear_epoch);
+            platform_->wear_epoch();
+            return;
+        case EventKind::TraceEpoch:
+            schedule_epoch(kind, now + cfg_.trace_epoch);
+            platform_->trace_epoch();
+            return;
     }
-    epoch_ids_[slot] = ctx_->sim.every(epoch_period(cfg_, slot), first_at,
-                                       std::move(cb)).id;
+    MCS_REQUIRE(false, "unknown event kind");
 }
 
 RunMetrics ManycoreSystem::run(SimDuration horizon) {
@@ -154,11 +199,12 @@ RunMetrics ManycoreSystem::run(SimDuration horizon) {
                     "capture point");
     } else {
         workload_->admit_workload(horizon);
-        // Epoch registration order is part of the behavioral contract: at a
+        // Epoch scheduling order is part of the behavioral contract: at a
         // shared timestamp the event queue breaks ties by insertion order.
-        for (std::size_t slot = 0; slot < epoch_ids_.size(); ++slot) {
-            register_epoch(slot,
-                           ctx_->sim.now() + epoch_period(cfg_, slot));
+        for (std::size_t i = 0; i < kEpochKindCount; ++i) {
+            const auto kind = static_cast<EventKind>(
+                static_cast<std::uint32_t>(kFirstEpochKind) + i);
+            schedule_epoch(kind, ctx_->sim.now() + epoch_period(cfg_, kind));
         }
         // The scenario's first directive event enters the queue after the
         // epochs (part of the registration-order contract; directive times

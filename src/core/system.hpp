@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -29,6 +28,8 @@ namespace mcs {
 
 class Mapper;
 class ScenarioDriver;
+struct Event;
+enum class EventKind : std::uint32_t;
 class Simulator;
 class SystemObserver;
 struct SystemContext;
@@ -124,9 +125,11 @@ struct SystemConfig {
 /// shared substrate -- chip, NoC, clock, budget, RNG streams, observer
 /// hub) and composes three engines over it -- PlatformEngine (power /
 /// thermal / wear / trace epochs), WorkloadEngine (admission, mapping,
-/// task execution) and TestEngine (core/link test sessions). run() wires
-/// the engines onto the simulator and finalizes the metrics. See
-/// docs/architecture.md for the layering.
+/// task execution) and TestEngine (core/link test sessions). Events are
+/// plain data (core/event_kind.hpp); the façade is the simulator's one
+/// dispatcher and routes each kind to its engine. run() schedules the
+/// epochs and finalizes the metrics. See docs/architecture.md for the
+/// layering.
 ///
 /// Typical use:
 ///     ManycoreSystem sys(cfg);
@@ -228,9 +231,11 @@ private:
     RunMetrics finalize();
     /// Serializes the complete system state (implemented in snapshot.cpp).
     void write_snapshot(std::ostream& out, SimDuration horizon) const;
-    /// Registers epoch slot `slot` (0 = power .. 4 = trace) with its first
-    /// firing at `first_at`; stores the periodic id in epoch_ids_.
-    void register_epoch(std::size_t slot, SimTime first_at);
+    /// Runs one popped event: the simulator's dispatcher.
+    void dispatch(const Event& event);
+    /// Schedules epoch `kind`'s firing at `when` (the first firing from
+    /// run() or restore, and each epoch's next one).
+    void schedule_epoch(EventKind kind, SimTime when);
 
     struct Checkpoint {
         SimTime at = 0;
@@ -245,9 +250,6 @@ private:
     std::unique_ptr<telemetry::TelemetryObserver> telemetry_obs_;
     std::unique_ptr<ScenarioDriver> scenario_;
     std::vector<Checkpoint> checkpoints_;
-    /// Periodic ids of the five registered epochs, in the canonical
-    /// registration order (0 = none; Simulator ids start at 1).
-    std::array<std::uint64_t, 5> epoch_ids_{};
     bool ran_ = false;
     bool restored_ = false;
     SimDuration restored_horizon_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/event_kind.hpp"
 #include "core/idle_predictor.hpp"
 #include "core/platform_engine.hpp"
 #include "core/schedulers.hpp"
@@ -53,7 +54,6 @@ TestEngine::TestEngine(SystemContext& ctx)
                              ctx_.cfg.seed ^ 0xd1b54a32d192ed03ULL);
         last_link_test_.assign(ctx_.noc.link_count(), 0);
         link_test_active_.assign(ctx_.noc.link_count(), 0);
-        link_test_events_.assign(ctx_.noc.link_count(), EventId{});
     }
     test_exec_.resize(ctx_.chip.core_count());
     test_progress_.assign(ctx_.chip.core_count(), 0);
@@ -150,10 +150,16 @@ void TestEngine::schedule_link_tests(SimTime now) {
         ++link_tests_running_;
         const SimDuration dur = std::max<SimDuration>(
             1, ctx_.noc.link_transfer_time(p.test_bytes));
-        const LinkId id = link;
-        link_test_events_[link] = ctx_.sim.schedule_in(
-            dur, [this, id] { on_link_test_complete(id); });
+        schedule_link_test(link, now + dur);
     }
+}
+
+void TestEngine::schedule_link_test(LinkId link, SimTime when) {
+    MCS_REQUIRE(link < link_test_active_.size() &&
+                    link_test_active_[link] != 0,
+                "link test completion on an inactive or unknown link");
+    ctx_.sim.schedule_at(when,
+                         make_event(EventKind::LinkTestComplete, link));
 }
 
 void TestEngine::on_link_test_complete(LinkId link) {
@@ -192,25 +198,36 @@ void TestEngine::start_test_session(CoreId core, int vf_level) {
     ex.vf_level = vf_level;
     ++tests_running_;
     ctx_.observers.test_session_begin(now, core, vf_level);
+    const std::uint64_t cycles =
+        ctx_.cfg.segmented_tests
+            ? ctx_.suite.routines()[test_progress_[core]].cycles
+            : ctx_.suite.total_cycles();
+    schedule_session_event(
+        core,
+        now + std::max<SimDuration>(1, duration_for_cycles(cycles,
+                                                           c.freq_hz())));
+}
+
+void TestEngine::schedule_session_event(CoreId core, SimTime when) {
+    MCS_REQUIRE(core < test_exec_.size() && test_exec_[core].active,
+                "test session event on an inactive or unknown core");
+    test_exec_[core].completion = ctx_.sim.schedule_at(
+        when, make_event(EventKind::TestSessionComplete, core));
+}
+
+// Segmentation is structural (cfg.segmented_tests is part of the structural
+// fingerprint), so a restored event takes the same path as the captured one.
+void TestEngine::on_session_event(CoreId core) {
     if (ctx_.cfg.segmented_tests) {
-        const auto& routine = ctx_.suite.routines()[test_progress_[core]];
-        const SimDuration dur = std::max<SimDuration>(
-            1, duration_for_cycles(routine.cycles, c.freq_hz()));
-        ex.completion = ctx_.sim.schedule_in(dur, [this, core] {
-            on_routine_complete(core);
-        });
+        on_routine_complete(core);
     } else {
-        const SimDuration dur = std::max<SimDuration>(
-            1, duration_for_cycles(ctx_.suite.total_cycles(), c.freq_hz()));
-        ex.completion = ctx_.sim.schedule_in(dur, [this, core] {
-            on_test_complete(core);
-        });
+        on_test_complete(core);
     }
 }
 
 void TestEngine::on_routine_complete(CoreId core) {
-    TestExec& ex = test_exec_[core];
-    MCS_REQUIRE(ex.active, "routine completion for inactive core");
+    MCS_REQUIRE(test_exec_[core].active,
+                "routine completion for inactive core");
     if (++test_progress_[core] == ctx_.suite.routine_count()) {
         test_progress_[core] = 0;
         on_test_complete(core);
@@ -220,9 +237,7 @@ void TestEngine::on_routine_complete(CoreId core) {
     const SimDuration dur = std::max<SimDuration>(
         1, duration_for_cycles(routine.cycles,
                                ctx_.chip.core(core).freq_hz()));
-    ex.completion = ctx_.sim.schedule_in(dur, [this, core] {
-        on_routine_complete(core);
-    });
+    schedule_session_event(core, ctx_.sim.now() + dur);
 }
 
 void TestEngine::on_test_complete(CoreId core) {
@@ -407,7 +422,6 @@ void TestEngine::load_state(const telemetry::JsonValue& doc) {
         for (std::size_t l = 0; l < last.size(); ++l) {
             last_link_test_[l] = last[l].u64();
             link_test_active_[l] = active[l].boolean ? 1 : 0;
-            link_test_events_[l] = EventId{};
         }
         link_tests_running_ =
             static_cast<int>(link.at("running").i64());
@@ -431,61 +445,6 @@ void TestEngine::load_state(const telemetry::JsonValue& doc) {
     // The abort stamps (and, via Core::load_state, every state lane) were
     // just rewritten wholesale; rebuild the candidate view from scratch.
     candidacy_.invalidate();
-}
-
-void TestEngine::append_event_manifest(
-    std::vector<SnapshotEvent>& out) const {
-    for (std::size_t c = 0; c < test_exec_.size(); ++c) {
-        const TestExec& ex = test_exec_[c];
-        if (!ex.active) {
-            continue;
-        }
-        MCS_REQUIRE(ctx_.sim.is_pending(ex.completion),
-                    "active test without a pending completion event");
-        out.push_back({"test_session_complete",
-                       ctx_.sim.event_time(ex.completion), ex.completion.seq,
-                       static_cast<std::uint64_t>(c), 0});
-    }
-    for (std::size_t l = 0; l < link_test_active_.size(); ++l) {
-        if (!link_test_active_[l]) {
-            continue;
-        }
-        const EventId id = link_test_events_[l];
-        MCS_REQUIRE(id.valid() && ctx_.sim.is_pending(id),
-                    "active link test without a pending completion event");
-        out.push_back({"link_test_complete", ctx_.sim.event_time(id), id.seq,
-                       static_cast<std::uint64_t>(l), 0});
-    }
-}
-
-void TestEngine::schedule_restored_session(CoreId core, SimTime when) {
-    MCS_REQUIRE(core < test_exec_.size(),
-                "snapshot manifest: test core out of range");
-    TestExec& ex = test_exec_[core];
-    MCS_REQUIRE(ex.active, "snapshot manifest: session on inactive core");
-    MCS_REQUIRE(!ex.completion.valid(),
-                "snapshot manifest: duplicate session for core");
-    // Segmentation is structural (cfg.segmented_tests is part of the
-    // structural fingerprint), so the captured pending event and the
-    // restored one dispatch through the same completion path.
-    if (ctx_.cfg.segmented_tests) {
-        ex.completion = ctx_.sim.schedule_at(
-            when, [this, core] { on_routine_complete(core); });
-    } else {
-        ex.completion = ctx_.sim.schedule_at(
-            when, [this, core] { on_test_complete(core); });
-    }
-}
-
-void TestEngine::schedule_restored_link_test(LinkId link, SimTime when) {
-    MCS_REQUIRE(link < link_test_active_.size(),
-                "snapshot manifest: link out of range");
-    MCS_REQUIRE(link_test_active_[link] != 0,
-                "snapshot manifest: link test on inactive link");
-    MCS_REQUIRE(!link_test_events_[link].valid(),
-                "snapshot manifest: duplicate link test");
-    link_test_events_[link] = ctx_.sim.schedule_at(
-        when, [this, link] { on_link_test_complete(link); });
 }
 
 void TestEngine::finalize_into(RunMetrics& m, SimTime end) {

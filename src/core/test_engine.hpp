@@ -49,6 +49,18 @@ public:
     /// invalidates routines that ran on a then-healthy core).
     void invalidate_progress(CoreId core) { test_progress_[core] = 0; }
 
+    // --- event handlers (dispatched by ManycoreSystem) ---
+    /// test_session_complete event on `core`: ends one routine of a
+    /// segmented suite (cfg.segmented_tests) or the whole suite.
+    void on_session_event(CoreId core);
+    void on_link_test_complete(LinkId link);
+
+    // --- event scheduling, shared by the live run and snapshot restore ---
+    /// Requires a session running on `core`; sets its completion handle.
+    void schedule_session_event(CoreId core, SimTime when);
+    /// Requires a test running on `link`.
+    void schedule_link_test(LinkId link, SimTime when);
+
     /// Wear-epoch hook: advances link-fault arrivals (called by
     /// PlatformEngine after core fault arrivals, preserving stream order).
     void wear_step(SimTime now, double dt_s);
@@ -90,12 +102,6 @@ public:
     /// a matching policy).
     void save_state(telemetry::JsonWriter& w) const;
     void load_state(const telemetry::JsonValue& doc);
-    /// Appends one manifest entry per pending test event:
-    /// "test_session_complete" (a = core) and "link_test_complete"
-    /// (a = link).
-    void append_event_manifest(std::vector<SnapshotEvent>& out) const;
-    void schedule_restored_session(CoreId core, SimTime when);
-    void schedule_restored_link_test(LinkId link, SimTime when);
 
 private:
     /// State of a test session running on a core. In segmented mode the
@@ -108,7 +114,6 @@ private:
     };
 
     void schedule_link_tests(SimTime now);
-    void on_link_test_complete(LinkId link);
     void on_routine_complete(CoreId core);
     void on_test_complete(CoreId core);
 
@@ -117,9 +122,6 @@ private:
     std::optional<LinkTester> link_tester_;
     std::vector<SimTime> last_link_test_;
     std::vector<std::uint8_t> link_test_active_;
-    /// Completion event of the in-flight test on each link (snapshot
-    /// bookkeeping; meaningful only while link_test_active_[l]).
-    std::vector<EventId> link_test_events_;
     int link_tests_running_ = 0;
 
     std::vector<TestExec> test_exec_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/event_kind.hpp"
 #include "core/platform_engine.hpp"
 #include "core/system.hpp"
 #include "core/test_engine.hpp"
@@ -80,8 +81,7 @@ void WorkloadEngine::admit_workload(SimDuration horizon) {
         const std::size_t index = apps_.size();
         const SimTime arrival = spec.arrival;
         apps_.emplace_back(std::move(spec));
-        arrival_events_.push_back(ctx_.sim.schedule_at(
-            arrival, [this, index] { on_arrival(index); }));
+        schedule_arrival(index, arrival);
     }
     ctx_.metrics.apps_arrived = apps_.size();
 }
@@ -89,7 +89,6 @@ void WorkloadEngine::admit_workload(SimDuration horizon) {
 std::size_t WorkloadEngine::inject(ApplicationSpec spec) {
     const std::size_t index = apps_.size();
     apps_.emplace_back(std::move(spec));
-    arrival_events_.push_back(EventId{});
     ctx_.metrics.apps_arrived = apps_.size();
     return index;
 }
@@ -250,9 +249,7 @@ void WorkloadEngine::start_task(std::size_t app_index, TaskIndex task) {
     ex.last_progress = now;
     const SimDuration dur = std::max<SimDuration>(
         1, duration_for_cycles(app.spec.graph.task(task).cycles, c.freq_hz()));
-    ex.completion = ctx_.sim.schedule_in(dur, [this, id] {
-        on_task_complete(id);
-    });
+    schedule_completion(id, now + dur);
 }
 
 void WorkloadEngine::on_task_complete(CoreId core) {
@@ -281,14 +278,8 @@ void WorkloadEngine::on_task_complete(CoreId core) {
                 }
             }
         }
-        const TaskIndex dst = e.dst;
-        const std::uint64_t seq = ctx_.sim.next_event_seq();
-        ctx_.sim.schedule_in(std::max<SimDuration>(1, t.latency),
-                             [this, app_index, dst, seq] {
-                                 inflight_edges_.erase(seq);
-                                 deliver_edge(app_index, dst);
-                             });
-        inflight_edges_.emplace(seq, std::pair{app_index, dst});
+        schedule_edge(app_index, e.dst,
+                      now + std::max<SimDuration>(1, t.latency));
     }
     ++app.tasks_done;
     if (app.tasks_done == app.spec.graph.size()) {
@@ -355,9 +346,28 @@ void WorkloadEngine::on_vf_change(CoreId core, int old_level, int new_level) {
         std::ceil(ex.remaining_cycles));
     const SimDuration dur =
         std::max<SimDuration>(1, duration_for_cycles(cycles, new_freq));
-    ex.completion = ctx_.sim.schedule_in(dur, [this, core] {
-        on_task_complete(core);
-    });
+    schedule_completion(core, now + dur);
+}
+
+void WorkloadEngine::schedule_arrival(std::size_t app_index, SimTime when) {
+    MCS_REQUIRE(app_index < apps_.size(), "arrival application out of range");
+    ctx_.sim.schedule_at(when, make_event(EventKind::Arrival, app_index));
+}
+
+void WorkloadEngine::schedule_completion(CoreId core, SimTime when) {
+    MCS_REQUIRE(core < core_exec_.size() && core_exec_[core].active,
+                "task completion on an inactive or unknown core");
+    core_exec_[core].completion =
+        ctx_.sim.schedule_at(when, make_event(EventKind::TaskComplete, core));
+}
+
+void WorkloadEngine::schedule_edge(std::size_t app_index, TaskIndex dst,
+                                   SimTime when) {
+    MCS_REQUIRE(app_index < apps_.size() &&
+                    dst < apps_[app_index].waiting.size(),
+                "edge target out of range");
+    ctx_.sim.schedule_at(when,
+                         make_event(EventKind::Edge, app_index, dst));
 }
 
 // ------------------------------------------------------ snapshot support
@@ -516,35 +526,6 @@ void WorkloadEngine::load_state(const telemetry::JsonValue& doc) {
                                idle.at("completed").u64());
 }
 
-void WorkloadEngine::append_event_manifest(
-    std::vector<SnapshotEvent>& out) const {
-    for (std::size_t i = 0; i < arrival_events_.size(); ++i) {
-        const EventId id = arrival_events_[i];
-        if (id.valid() && ctx_.sim.is_pending(id)) {
-            out.push_back({"arrival", ctx_.sim.event_time(id), id.seq,
-                           static_cast<std::uint64_t>(i), 0});
-        }
-    }
-    for (std::size_t c = 0; c < core_exec_.size(); ++c) {
-        const CoreExec& ex = core_exec_[c];
-        if (!ex.active) {
-            continue;
-        }
-        MCS_REQUIRE(ctx_.sim.is_pending(ex.completion),
-                    "active task without a pending completion event");
-        out.push_back({"task_complete", ctx_.sim.event_time(ex.completion),
-                       ex.completion.seq, static_cast<std::uint64_t>(c), 0});
-    }
-    for (const auto& [seq, edge] : inflight_edges_) {
-        const EventId id{seq};
-        MCS_REQUIRE(ctx_.sim.is_pending(id),
-                    "stale in-flight edge in snapshot bookkeeping");
-        out.push_back({"edge", ctx_.sim.event_time(id), seq,
-                       static_cast<std::uint64_t>(edge.first),
-                       static_cast<std::uint64_t>(edge.second)});
-    }
-}
-
 void WorkloadEngine::restore_workload(SimDuration horizon,
                                       std::uint64_t root_seed) {
     MCS_REQUIRE(apps_.empty(), "restore_workload on a used engine");
@@ -555,40 +536,7 @@ void WorkloadEngine::restore_workload(SimDuration horizon,
     for (auto& spec : specs) {
         apps_.emplace_back(std::move(spec));
     }
-    arrival_events_.assign(apps_.size(), EventId{});
     ctx_.metrics.apps_arrived = apps_.size();
-}
-
-void WorkloadEngine::schedule_restored_arrival(std::size_t app_index,
-                                               SimTime when) {
-    MCS_REQUIRE(app_index < apps_.size(),
-                "snapshot manifest: arrival app out of range");
-    arrival_events_[app_index] = ctx_.sim.schedule_at(
-        when, [this, app_index] { on_arrival(app_index); });
-}
-
-void WorkloadEngine::schedule_restored_completion(CoreId core, SimTime when) {
-    MCS_REQUIRE(core < core_exec_.size(),
-                "snapshot manifest: completion core out of range");
-    CoreExec& ex = core_exec_[core];
-    MCS_REQUIRE(ex.active, "snapshot manifest: completion on inactive core");
-    MCS_REQUIRE(!ex.completion.valid(),
-                "snapshot manifest: duplicate completion for core");
-    ex.completion = ctx_.sim.schedule_at(
-        when, [this, core] { on_task_complete(core); });
-}
-
-void WorkloadEngine::schedule_restored_edge(std::size_t app_index,
-                                            TaskIndex dst, SimTime when) {
-    MCS_REQUIRE(app_index < apps_.size() &&
-                    dst < apps_[app_index].waiting.size(),
-                "snapshot manifest: edge target out of range");
-    const std::uint64_t seq = ctx_.sim.next_event_seq();
-    ctx_.sim.schedule_at(when, [this, app_index, dst, seq] {
-        inflight_edges_.erase(seq);
-        deliver_edge(app_index, dst);
-    });
-    inflight_edges_.emplace(seq, std::pair{app_index, dst});
 }
 
 void WorkloadEngine::finalize_into(RunMetrics& m, SimTime end) {

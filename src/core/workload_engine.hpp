@@ -9,7 +9,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -36,8 +35,19 @@ public:
     /// event per application (called once by the façade before the run).
     void admit_workload(SimDuration horizon);
 
+    // --- event handlers (dispatched by ManycoreSystem) ---
     /// Arrival event: enqueue into the QoS class queue and try to map.
     void on_arrival(std::size_t app_index);
+    /// Completion of the task running on `core`.
+    void on_task_complete(CoreId core);
+    /// NoC edge delivery: one predecessor of task `dst` has finished.
+    void deliver_edge(std::size_t app_index, TaskIndex dst);
+
+    // --- event scheduling, shared by the live run and snapshot restore ---
+    void schedule_arrival(std::size_t app_index, SimTime when);
+    /// Requires a task running on `core`; sets its completion handle.
+    void schedule_completion(CoreId core, SimTime when);
+    void schedule_edge(std::size_t app_index, TaskIndex dst, SimTime when);
 
     /// One mapping round: serve class queues in priority order, mapping
     /// queue heads until the mapper rejects. The platform view is scanned
@@ -85,19 +95,11 @@ public:
     /// the snapshot.
     void save_state(telemetry::JsonWriter& w) const;
     void load_state(const telemetry::JsonValue& doc);
-    /// Appends one manifest entry per pending workload event: "arrival"
-    /// (a = app index), "task_complete" (a = core) and "edge" (a = app
-    /// index, b = destination task).
-    void append_event_manifest(std::vector<SnapshotEvent>& out) const;
     /// Restore-path replacement for admit_workload(): regenerates the
     /// arrival trace for the snapshot's horizon and root seed WITHOUT
     /// scheduling arrival events -- the event manifest re-creates the ones
     /// still pending at capture. Must run on a fresh engine.
     void restore_workload(SimDuration horizon, std::uint64_t root_seed);
-    void schedule_restored_arrival(std::size_t app_index, SimTime when);
-    void schedule_restored_completion(CoreId core, SimTime when);
-    void schedule_restored_edge(std::size_t app_index, TaskIndex dst,
-                                SimTime when);
 
 private:
     // --- lifecycle of one application ---
@@ -125,8 +127,6 @@ private:
     void commit_mapping(std::size_t app_index, const MappingResult& result);
     void rebuild_view(PlatformViewCache& cache);
     void start_task(std::size_t app_index, TaskIndex task);
-    void on_task_complete(CoreId core);
-    void deliver_edge(std::size_t app_index, TaskIndex dst);
     void release_app(std::size_t app_index);
 
     SystemContext& ctx_;
@@ -145,13 +145,6 @@ private:
     bool mapping_in_progress_ = false;
     std::uint64_t mapping_rounds_ = 0;
     std::uint64_t mapping_attempts_ = 0;
-    /// Arrival event per app, parallel to apps_ (invalid once fired, and
-    /// for injected apps, which never had one). Snapshot bookkeeping only.
-    std::vector<EventId> arrival_events_;
-    /// In-flight NoC edge deliveries keyed by their event sequence number
-    /// (erased as each delivery fires). Snapshot bookkeeping only.
-    std::map<std::uint64_t, std::pair<std::size_t, TaskIndex>>
-        inflight_edges_;
 };
 
 }  // namespace mcs

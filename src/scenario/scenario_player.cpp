@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "core/event_kind.hpp"
 #include "core/platform_engine.hpp"
 #include "core/system.hpp"
 #include "core/test_engine.hpp"
@@ -60,18 +61,22 @@ void ScenarioPlayer::begin(SimDuration horizon) {
     MCS_REQUIRE(spec_.directives.back().at < horizon,
                 "scenario: directive at or beyond the run horizon");
     next_ = 0;
-    schedule_next(spec_.directives.front().at);
+    schedule_next();
 }
 
-void ScenarioPlayer::schedule_next(SimTime when) {
-    pending_ = sys_->simulator().schedule_at(when, [this] {
-        pending_ = EventId{};
-        apply(next_);
-        ++next_;
-        if (next_ < spec_.directives.size()) {
-            schedule_next(spec_.directives[next_].at);
-        }
-    });
+void ScenarioPlayer::schedule_next() {
+    sys_->simulator().schedule_at(spec_.directives[next_].at,
+                                  make_event(EventKind::Scenario, next_));
+}
+
+void ScenarioPlayer::fire(std::uint64_t index) {
+    MCS_REQUIRE(index == next_ && next_ < spec_.directives.size(),
+                "scenario: directive index out of range");
+    apply(next_);
+    ++next_;
+    if (next_ < spec_.directives.size()) {
+        schedule_next();
+    }
 }
 
 std::vector<CoreId> ScenarioPlayer::targets_of(
@@ -185,19 +190,6 @@ void ScenarioPlayer::apply(std::size_t index) {
     }
 }
 
-void ScenarioPlayer::append_event_manifest(
-    std::vector<SnapshotEvent>& out) const {
-    if (!pending_.valid() || !sys_->simulator().is_pending(pending_)) {
-        return;
-    }
-    SnapshotEvent e;
-    e.kind = "scenario";
-    e.when = sys_->simulator().event_time(pending_);
-    e.seq = pending_.seq;
-    e.a = next_;
-    out.push_back(std::move(e));
-}
-
 void ScenarioPlayer::save_state(telemetry::JsonWriter& w) const {
     w.begin_object();
     w.field("fingerprint", fingerprint_);
@@ -244,16 +236,10 @@ void ScenarioPlayer::reapply_restored() {
     }
 }
 
-void ScenarioPlayer::schedule_restored_directive(std::uint64_t index,
-                                                 SimTime when) {
-    MCS_REQUIRE(sys_ != nullptr, "scenario player not bound");
-    MCS_REQUIRE(index == next_,
-                "snapshot scenario: pending directive index does not match "
-                "the replay position");
-    MCS_REQUIRE(next_ < spec_.directives.size() &&
-                    spec_.directives[next_].at == when,
-                "snapshot scenario: pending directive time mismatch");
-    schedule_next(when);
+bool ScenarioPlayer::expects_directive(std::uint64_t index,
+                                       SimTime when) const {
+    return index == next_ && next_ < spec_.directives.size() &&
+           spec_.directives[next_].at == when;
 }
 
 std::unique_ptr<ScenarioPlayer> make_scenario_player(

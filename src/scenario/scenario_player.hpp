@@ -19,7 +19,6 @@
 
 #include "core/scenario_hook.hpp"
 #include "scenario/scenario_spec.hpp"
-#include "sim/event_queue.hpp"
 
 namespace mcs {
 
@@ -30,14 +29,13 @@ public:
     // --- ScenarioDriver ---
     void bind(ManycoreSystem& sys) override;
     void begin(SimDuration horizon) override;
-    void append_event_manifest(
-        std::vector<SnapshotEvent>& out) const override;
+    void fire(std::uint64_t index) override;
     void save_state(telemetry::JsonWriter& w) const override;
     void load_state(const telemetry::JsonValue& doc) override;
     void reinject_restored() override;
     void reapply_restored() override;
-    void schedule_restored_directive(std::uint64_t index,
-                                     SimTime when) override;
+    bool expects_directive(std::uint64_t index,
+                           SimTime when) const override;
 
     // --- introspection (tests) ---
     const ScenarioSpec& spec() const noexcept { return spec_; }
@@ -51,7 +49,8 @@ public:
     std::vector<ApplicationSpec> burst_apps(std::size_t index) const;
 
 private:
-    void schedule_next(SimTime when);
+    /// Schedules the `scenario` event of directive next_.
+    void schedule_next();
     void apply(std::size_t index);
     /// d.cores, or every core id when the directive targets all cores.
     std::vector<CoreId> targets_of(const ScenarioDirective& d) const;
@@ -62,7 +61,6 @@ private:
     ManycoreSystem* sys_ = nullptr;
     double orig_tdp_w_ = 0.0;
     std::size_t next_ = 0;  ///< next unapplied directive
-    EventId pending_{};
 };
 
 /// Convenience: parse `path` and wrap the spec in a player.

@@ -31,15 +31,14 @@ std::size_t EventQueue::stored_entries() const noexcept {
     return n;
 }
 
-EventId EventQueue::schedule(SimTime when, Callback cb) {
-    MCS_REQUIRE(static_cast<bool>(cb), "event callback must be callable");
+EventId EventQueue::schedule(SimTime when, Event event) {
     const std::uint64_t seq = next_seq_++;
     if (index_.empty()) {
         floor_ = when;
     } else if (when < floor_) {
         floor_ = when;
     }
-    buckets_[bucket_of(when)].push_back(Entry{when, seq, std::move(cb)});
+    buckets_[bucket_of(when)].push_back(Entry{when, seq, event});
     index_.emplace(seq, when);
     if (min_valid_) {
         // A fresh seq is larger than every live one, so ties keep the
@@ -79,12 +78,6 @@ bool EventQueue::cancel(EventId id) {
 
 bool EventQueue::is_pending(EventId id) const {
     return id.valid() && index_.count(id.seq) != 0;
-}
-
-SimTime EventQueue::time_of(EventId id) const {
-    const auto it = id.valid() ? index_.find(id.seq) : index_.end();
-    MCS_REQUIRE(it != index_.end(), "time_of on a non-pending event");
-    return it->second;
 }
 
 void EventQueue::ensure_min() const {
@@ -148,8 +141,8 @@ EventQueue::Entry EventQueue::extract(std::size_t b, std::uint64_t seq) {
     std::vector<Entry>& bucket = buckets_[b];
     for (std::size_t i = 0; i < bucket.size(); ++i) {
         if (bucket[i].seq == seq) {
-            Entry out = std::move(bucket[i]);
-            bucket[i] = std::move(bucket.back());
+            const Entry out = bucket[i];
+            bucket[i] = bucket.back();
             bucket.pop_back();
             return out;
         }
@@ -158,15 +151,27 @@ EventQueue::Entry EventQueue::extract(std::size_t b, std::uint64_t seq) {
     return Entry{};
 }
 
-std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
+EventQueue::Entry EventQueue::pop() {
     MCS_REQUIRE(!empty(), "pop on empty event queue");
     ensure_min();
-    Entry e = extract(min_bucket_, min_seq_);
+    const Entry e = extract(min_bucket_, min_seq_);
     index_.erase(e.seq);
     floor_ = e.when;  // remaining entries are all >= the popped minimum
     min_valid_ = false;
     maybe_shrink();
-    return {e.when, std::move(e.cb)};
+    return e;
+}
+
+std::vector<EventQueue::Entry> EventQueue::pending_entries() const {
+    std::vector<Entry> out;
+    out.reserve(index_.size());
+    for (const auto& bucket : buckets_) {
+        out.insert(out.end(), bucket.begin(), bucket.end());
+    }
+    std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
+        return a.seq < b.seq;
+    });
+    return out;
 }
 
 void EventQueue::maybe_grow() {
@@ -188,10 +193,10 @@ void EventQueue::rebuild(std::size_t want_buckets) {
     SimTime lo = std::numeric_limits<SimTime>::max();
     SimTime hi = 0;
     for (auto& bucket : buckets_) {
-        for (Entry& e : bucket) {
+        for (const Entry& e : bucket) {
             lo = std::min(lo, e.when);
             hi = std::max(hi, e.when);
-            all.push_back(std::move(e));
+            all.push_back(e);
         }
         bucket.clear();
     }
@@ -208,8 +213,8 @@ void EventQueue::rebuild(std::size_t want_buckets) {
                              static_cast<std::uint32_t>(
                                  std::bit_width(static_cast<std::uint64_t>(gap))));
     buckets_.assign(want_buckets, {});
-    for (Entry& e : all) {
-        buckets_[bucket_of(e.when)].push_back(std::move(e));
+    for (const Entry& e : all) {
+        buckets_[bucket_of(e.when)].push_back(e);
     }
     if (min_valid_) {
         min_bucket_ = bucket_of(min_when_);

@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -16,13 +14,20 @@ struct EventId {
     bool valid() const noexcept { return seq != 0; }
 };
 
+/// A pending event as plain data. `kind` is an opaque small integer: the
+/// layer that schedules events owns its meaning and its dispatch; `a` and
+/// `b` are kind-specific arguments (ids, indices).
+struct Event {
+    std::uint32_t kind = 0;
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+};
+
 /// Time-ordered event queue backed by a bucketed calendar (Brown-style
 /// calendar queue) instead of a binary heap. Ties break in scheduling order
 /// (FIFO at equal timestamps: pop order is ascending (when, seq)), which
-/// keeps simulations deterministic, and `next_seq()` exposes the sequence
-/// number the next schedule() call will assign so callers can register
-/// bookkeeping for an event before creating it (the snapshot manifest keys
-/// in-flight work by event sequence).
+/// keeps simulations deterministic. Entries are plain data, so the pending
+/// set can be listed as is (the snapshot manifest is that list).
 ///
 /// Layout: events hash into `buckets_` by `(when >> width_shift_) & mask`.
 /// The bucket width is a power of two re-derived at every resize from the
@@ -41,12 +46,17 @@ struct EventId {
 /// `cancelled_count()` reports lifetime cancellations for telemetry.
 class EventQueue {
 public:
-    using Callback = std::function<void()>;
+    struct Entry {
+        SimTime when = 0;
+        std::uint64_t seq = 0;
+        Event event;
+    };
 
     EventQueue();
 
-    /// Schedules `cb` at absolute time `when`. Returns a cancellation handle.
-    EventId schedule(SimTime when, Callback cb);
+    /// Schedules `event` at absolute time `when`. Returns a cancellation
+    /// handle.
+    EventId schedule(SimTime when, Event event);
 
     /// Cancels a pending event, reclaiming its slot immediately. Cancelling
     /// an already-fired or already-cancelled event is a no-op. Returns true
@@ -63,15 +73,11 @@ public:
     /// Time of the earliest pending event. Requires !empty().
     SimTime next_time() const;
 
-    /// Absolute time of a pending event. Requires is_pending(id).
-    SimTime time_of(EventId id) const;
+    /// Pops the earliest pending event. Requires !empty().
+    Entry pop();
 
-    /// Sequence number the NEXT schedule() call will assign.
-    std::uint64_t next_seq() const noexcept { return next_seq_; }
-
-    /// Pops the earliest pending event and returns (time, callback).
-    /// Requires !empty().
-    std::pair<SimTime, Callback> pop();
+    /// Every pending entry, in ascending seq (= scheduling) order.
+    std::vector<Entry> pending_entries() const;
 
     /// Lifetime count of successful cancel() calls.
     std::uint64_t cancelled_count() const noexcept { return cancelled_; }
@@ -86,12 +92,6 @@ public:
     std::size_t bucket_count() const noexcept { return buckets_.size(); }
 
 private:
-    struct Entry {
-        SimTime when;
-        std::uint64_t seq;
-        Callback cb;
-    };
-
     std::size_t bucket_of(SimTime when) const noexcept {
         return static_cast<std::size_t>(when >> width_shift_) &
                (buckets_.size() - 1);
@@ -108,8 +108,8 @@ private:
 
     std::vector<std::vector<Entry>> buckets_;
     std::uint32_t width_shift_ = 0;
-    // seq -> scheduled time: liveness ground truth, O(1) time_of for the
-    // snapshot manifest, and the bucket locator for eager cancellation.
+    // seq -> scheduled time: liveness ground truth and the bucket locator
+    // for eager cancellation.
     std::unordered_map<std::uint64_t, SimTime> index_;
     std::uint64_t next_seq_ = 1;
     std::uint64_t cancelled_ = 0;

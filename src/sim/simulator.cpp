@@ -1,60 +1,24 @@
 #include "sim/simulator.hpp"
 
+#include <utility>
+
 #include "util/require.hpp"
 
 namespace mcs {
 
-EventId Simulator::schedule_at(SimTime when, EventQueue::Callback cb) {
+void Simulator::set_dispatcher(Dispatcher dispatch) {
+    MCS_REQUIRE(static_cast<bool>(dispatch), "dispatcher must be callable");
+    MCS_REQUIRE(!dispatch_, "the dispatcher is set once");
+    dispatch_ = std::move(dispatch);
+}
+
+EventId Simulator::schedule_at(SimTime when, Event event) {
     MCS_REQUIRE(when >= now_, "cannot schedule into the past");
-    return queue_.schedule(when, std::move(cb));
+    return queue_.schedule(when, event);
 }
 
-EventId Simulator::schedule_in(SimDuration delay, EventQueue::Callback cb) {
-    return queue_.schedule(now_ + delay, std::move(cb));
-}
-
-Simulator::PeriodicHandle Simulator::every(SimDuration period,
-                                           std::function<void(SimTime)> cb) {
-    return every(period, now_ + period, std::move(cb));
-}
-
-Simulator::PeriodicHandle Simulator::every(SimDuration period, SimTime first_at,
-                                           std::function<void(SimTime)> cb) {
-    MCS_REQUIRE(period > 0, "periodic period must be positive");
-    MCS_REQUIRE(static_cast<bool>(cb), "periodic callback must be callable");
-    MCS_REQUIRE(first_at >= now_, "first firing cannot be in the past");
-    const std::uint64_t id = next_periodic_id_++;
-    auto [it, inserted] = periodics_.emplace(
-        id, PeriodicState{period, std::move(cb), EventId{}});
-    MCS_REQUIRE(inserted, "periodic id collision");
-    it->second.pending_event =
-        schedule_at(first_at, [this, id] { fire_periodic(id); });
-    return PeriodicHandle{id};
-}
-
-void Simulator::fire_periodic(std::uint64_t periodic_id) {
-    auto it = periodics_.find(periodic_id);
-    if (it == periodics_.end()) {
-        return;  // stopped between scheduling and firing
-    }
-    // Reschedule before invoking so the callback may stop_periodic() itself.
-    it->second.pending_event = schedule_at(
-        now_ + it->second.period, [this, periodic_id] {
-            fire_periodic(periodic_id);
-        });
-    // Copy the callback: the callback may stop this periodic, erasing the
-    // map entry (and the std::function we'd otherwise be executing from).
-    auto cb = it->second.cb;
-    cb(now_);
-}
-
-void Simulator::stop_periodic(PeriodicHandle handle) {
-    auto it = periodics_.find(handle.id);
-    if (it == periodics_.end()) {
-        return;
-    }
-    queue_.cancel(it->second.pending_event);
-    periodics_.erase(it);
+EventId Simulator::schedule_in(SimDuration delay, Event event) {
+    return queue_.schedule(now_ + delay, event);
 }
 
 void Simulator::set_tracer(telemetry::Tracer* tracer) {
@@ -90,21 +54,8 @@ std::uint64_t Simulator::advance_until(SimTime until) {
     return ran;
 }
 
-SimTime Simulator::periodic_due(PeriodicHandle handle) const {
-    const auto it = periodics_.find(handle.id);
-    MCS_REQUIRE(it != periodics_.end(), "periodic_due on a stopped periodic");
-    return queue_.time_of(it->second.pending_event);
-}
-
-EventId Simulator::periodic_event(PeriodicHandle handle) const {
-    const auto it = periodics_.find(handle.id);
-    MCS_REQUIRE(it != periodics_.end(), "periodic_event on a stopped periodic");
-    return it->second.pending_event;
-}
-
 void Simulator::restore_clock(SimTime now, std::uint64_t executed) {
-    MCS_REQUIRE(queue_.empty() && periodics_.empty() && now_ == 0 &&
-                    executed_ == 0,
+    MCS_REQUIRE(queue_.empty() && now_ == 0 && executed_ == 0,
                 "restore_clock requires a pristine simulator");
     now_ = now;
     executed_ = executed;
@@ -114,11 +65,11 @@ bool Simulator::step(SimTime until) {
     if (queue_.empty() || queue_.next_time() > until) {
         return false;
     }
-    auto [when, cb] = queue_.pop();
-    MCS_REQUIRE(when >= now_, "event queue produced a past event");
-    now_ = when;
+    const EventQueue::Entry e = queue_.pop();
+    MCS_REQUIRE(e.when >= now_, "event queue produced a past event");
+    now_ = e.when;
     ++executed_;
-    cb();
+    dispatch_(e.event);
     return true;
 }
 

@@ -2,7 +2,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -10,38 +10,32 @@
 
 namespace mcs {
 
-/// Discrete-event simulator: a clock plus an event queue plus periodic
-/// processes. Single-threaded by design; all model state is advanced from
-/// event callbacks.
+/// Discrete-event simulator: a clock plus an event queue of plain-data
+/// events. Each popped event goes to one dispatcher, set once by the owner
+/// of the event kinds. Single-threaded by design; all model state is
+/// advanced from the dispatcher.
 class Simulator {
 public:
+    using Dispatcher = std::function<void(const Event&)>;
+
     Simulator() = default;
     Simulator(const Simulator&) = delete;
     Simulator& operator=(const Simulator&) = delete;
 
+    /// Installs the handler every executed event is passed to. May be set
+    /// only once.
+    void set_dispatcher(Dispatcher dispatch);
+
     SimTime now() const noexcept { return now_; }
 
-    /// Schedules `cb` at absolute simulated time `when >= now()`.
-    EventId schedule_at(SimTime when, EventQueue::Callback cb);
+    /// Schedules `event` at absolute simulated time `when >= now()`.
+    EventId schedule_at(SimTime when, Event event);
 
-    /// Schedules `cb` after `delay` from now.
-    EventId schedule_in(SimDuration delay, EventQueue::Callback cb);
+    /// Schedules `event` after `delay` from now.
+    EventId schedule_in(SimDuration delay, Event event);
 
     bool cancel(EventId id) { return queue_.cancel(id); }
     bool is_pending(EventId id) const { return queue_.is_pending(id); }
-
-    /// Registers a periodic process firing every `period` starting at
-    /// `first_at` (defaults to `period` from now). The callback receives the
-    /// current time. Returns a handle usable with stop_periodic().
-    struct PeriodicHandle {
-        std::uint64_t id = 0;
-        bool valid() const noexcept { return id != 0; }
-    };
-    PeriodicHandle every(SimDuration period,
-                         std::function<void(SimTime)> cb);
-    PeriodicHandle every(SimDuration period, SimTime first_at,
-                         std::function<void(SimTime)> cb);
-    void stop_periodic(PeriodicHandle handle);
 
     /// Runs events until the queue is empty or the clock would pass `until`.
     /// The clock is left at min(until, last event time). Returns the number
@@ -68,20 +62,13 @@ public:
     }
 
     // ---- snapshot support -------------------------------------------------
-    // Capture reads pending-event identities; restore rebuilds the queue in
-    // the captured relative order, then fast-forwards the clock.
+    // Capture lists the pending events; restore schedules them again in the
+    // captured order, then fast-forwards the clock.
 
-    /// Absolute time of a pending event. Requires is_pending(id).
-    SimTime event_time(EventId id) const { return queue_.time_of(id); }
-
-    /// Sequence number the next schedule_at/schedule_in call will assign.
-    std::uint64_t next_event_seq() const noexcept { return queue_.next_seq(); }
-
-    /// Next firing time of a live periodic. Requires a valid, live handle.
-    SimTime periodic_due(PeriodicHandle handle) const;
-
-    /// Pending event carrying the next firing of a live periodic.
-    EventId periodic_event(PeriodicHandle handle) const;
+    /// Every pending event, in ascending seq (= scheduling) order.
+    std::vector<EventQueue::Entry> pending_entries() const {
+        return queue_.pending_entries();
+    }
 
     /// Fast-forwards a freshly constructed simulator to a checkpointed
     /// clock. Requires that nothing has been scheduled or executed yet.
@@ -100,21 +87,11 @@ public:
     telemetry::Tracer* tracer() const noexcept { return tracer_; }
 
 private:
-    struct Periodic;
-    void fire_periodic(std::uint64_t periodic_id);
-
     EventQueue queue_;
+    Dispatcher dispatch_;
     telemetry::Tracer* tracer_ = nullptr;
     SimTime now_ = 0;
     std::uint64_t executed_ = 0;
-    std::uint64_t next_periodic_id_ = 1;
-    // Periodic bookkeeping: id -> (period, callback, next EventId).
-    struct PeriodicState {
-        SimDuration period;
-        std::function<void(SimTime)> cb;
-        EventId pending_event;
-    };
-    std::unordered_map<std::uint64_t, PeriodicState> periodics_;
 };
 
 }  // namespace mcs

@@ -184,7 +184,6 @@ TEST(TestEngineSeams, AbortBackoffFiltersCandidates) {
     Simulator& sim = sys.simulator();
 
     // Abort a session at t > 0 (t == 0 is the "never aborted" sentinel).
-    sim.schedule_at(1 * kMillisecond, [] {});
     sim.run_until(1 * kMillisecond);
     te.start_test_session(0, 0);
     te.abort_test(0);
@@ -196,7 +195,6 @@ TEST(TestEngineSeams, AbortBackoffFiltersCandidates) {
 
     // Past the window it is offered again.
     const SimTime past = 1 * kMillisecond + sys.config().test_retry_backoff;
-    sim.schedule_at(past + 1, [] {});
     sim.run_until(past + 1);
     te.test_epoch();
     EXPECT_EQ(probe->seen, (std::vector<CoreId>{0, 1, 2, 3}));

@@ -14,58 +14,53 @@ namespace {
 
 TEST(EventQueue, PopsInTimeOrder) {
     EventQueue q;
-    std::vector<int> order;
-    q.schedule(30, [&] { order.push_back(3); });
-    q.schedule(10, [&] { order.push_back(1); });
-    q.schedule(20, [&] { order.push_back(2); });
+    std::vector<std::uint64_t> order;
+    q.schedule(30, Event{0, 3, 0});
+    q.schedule(10, Event{0, 1, 0});
+    q.schedule(20, Event{0, 2, 0});
     while (!q.empty()) {
-        auto [t, cb] = q.pop();
-        cb();
+        order.push_back(q.pop().event.a);
     }
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
 TEST(EventQueue, TiesBreakFifo) {
     EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 10; ++i) {
-        q.schedule(5, [&, i] { order.push_back(i); });
+    for (std::uint64_t i = 0; i < 10; ++i) {
+        q.schedule(5, Event{0, i, 0});
     }
-    while (!q.empty()) {
-        q.pop().second();
-    }
-    for (int i = 0; i < 10; ++i) {
-        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    for (std::uint64_t i = 0; i < 10; ++i) {
+        const EventQueue::Entry e = q.pop();
+        EXPECT_EQ(e.event.a, i);
+        EXPECT_EQ(e.seq, i + 1);
     }
 }
 
 TEST(EventQueue, CancelPreventsExecution) {
     EventQueue q;
-    bool fired = false;
-    const EventId id = q.schedule(10, [&] { fired = true; });
+    const EventId id = q.schedule(10, Event{});
     EXPECT_TRUE(q.cancel(id));
     EXPECT_TRUE(q.empty());
-    EXPECT_FALSE(fired);
 }
 
 TEST(EventQueue, CancelTwiceIsNoop) {
     EventQueue q;
-    const EventId id = q.schedule(10, [] {});
+    const EventId id = q.schedule(10, Event{});
     EXPECT_TRUE(q.cancel(id));
     EXPECT_FALSE(q.cancel(id));
 }
 
 TEST(EventQueue, CancelAfterFireIsNoop) {
     EventQueue q;
-    const EventId id = q.schedule(10, [] {});
-    q.pop().second();
+    const EventId id = q.schedule(10, Event{});
+    q.pop();
     EXPECT_FALSE(q.cancel(id));
 }
 
 TEST(EventQueue, CancelFiredWhileOthersPendingKeepsCount) {
     EventQueue q;
-    const EventId a = q.schedule(1, [] {});
-    q.schedule(2, [] {});
+    const EventId a = q.schedule(1, Event{});
+    q.schedule(2, Event{});
     q.pop();  // fires a
     EXPECT_EQ(q.pending(), 1u);
     EXPECT_FALSE(q.cancel(a));  // a already fired
@@ -80,19 +75,19 @@ TEST(EventQueue, CancelInvalidIdIsNoop) {
 
 TEST(EventQueue, IsPendingTracksLifecycle) {
     EventQueue q;
-    const EventId id = q.schedule(5, [] {});
+    const EventId id = q.schedule(5, Event{});
     EXPECT_TRUE(q.is_pending(id));
     q.pop();
     EXPECT_FALSE(q.is_pending(id));
-    const EventId id2 = q.schedule(5, [] {});
+    const EventId id2 = q.schedule(5, Event{});
     q.cancel(id2);
     EXPECT_FALSE(q.is_pending(id2));
 }
 
 TEST(EventQueue, NextTimeSkipsCancelled) {
     EventQueue q;
-    const EventId early = q.schedule(1, [] {});
-    q.schedule(10, [] {});
+    const EventId early = q.schedule(1, Event{});
+    q.schedule(10, Event{});
     q.cancel(early);
     EXPECT_EQ(q.next_time(), 10u);
 }
@@ -103,16 +98,11 @@ TEST(EventQueue, EmptyAccessorsThrow) {
     EXPECT_THROW(q.next_time(), RequireError);
 }
 
-TEST(EventQueue, NullCallbackRejected) {
-    EventQueue q;
-    EXPECT_THROW(q.schedule(1, EventQueue::Callback{}), RequireError);
-}
-
 TEST(EventQueue, PendingCountTracksScheduleAndCancel) {
     EventQueue q;
     std::vector<EventId> ids;
     for (int i = 0; i < 100; ++i) {
-        ids.push_back(q.schedule(static_cast<SimTime>(i), [] {}));
+        ids.push_back(q.schedule(static_cast<SimTime>(i), Event{}));
     }
     EXPECT_EQ(q.pending(), 100u);
     for (int i = 0; i < 50; ++i) {
@@ -143,7 +133,7 @@ TEST_P(EventQueueFuzz, MatchesReferenceModel) {
         const double action = rng.uniform();
         if (action < 0.5) {
             const SimTime t = clock + rng.uniform_int(0, 1000);
-            const EventId id = q.schedule(t, [] {});
+            const EventId id = q.schedule(t, Event{});
             model[{t, ++seq}] = true;
             handles.push_back({id, {t, seq}});
         } else if (action < 0.7 && !handles.empty()) {
@@ -162,7 +152,7 @@ TEST_P(EventQueueFuzz, MatchesReferenceModel) {
                 ++alive;
             }
             ASSERT_NE(alive, model.end());
-            const auto [t, cb] = q.pop();
+            const SimTime t = q.pop().when;
             EXPECT_EQ(t, alive->first.first);
             EXPECT_GE(t, clock);
             clock = t;
@@ -184,7 +174,7 @@ TEST(EventQueue, CancelReclaimsStorageEagerly) {
     EventQueue q;
     std::vector<EventId> ids;
     for (int i = 0; i < 2000; ++i) {
-        ids.push_back(q.schedule(static_cast<SimTime>(100 + i % 7), [] {}));
+        ids.push_back(q.schedule(static_cast<SimTime>(100 + i % 7), Event{}));
     }
     for (int i = 0; i < 2000; i += 2) {
         q.cancel(ids[static_cast<std::size_t>(i)]);
@@ -202,11 +192,11 @@ TEST(EventQueue, CancelReclaimsStorageEagerly) {
 
 TEST(EventQueue, CancelledCountRestores) {
     EventQueue q;
-    q.cancel(q.schedule(5, [] {}));
+    q.cancel(q.schedule(5, Event{}));
     EXPECT_EQ(q.cancelled_count(), 1u);
     q.restore_cancelled_count(42);
     EXPECT_EQ(q.cancelled_count(), 42u);
-    q.cancel(q.schedule(6, [] {}));
+    q.cancel(q.schedule(6, Event{}));
     EXPECT_EQ(q.cancelled_count(), 43u);
 }
 
@@ -221,27 +211,22 @@ TEST_P(EventQueueDeterminism, PopOrderMatchesReferenceHeap) {
     Rng rng(GetParam());
     constexpr SimTime kEpoch = 1000;  // quantum: forces heavy tie-breaking
     EventQueue q;
-    std::vector<int> popped;
     // Reference model: (when, seq) -> payload, std::map iteration order is
     // exactly the strict (when, seq) pop order the queue promises.
-    std::map<std::pair<SimTime, std::uint64_t>, int> model;
+    std::map<std::pair<SimTime, std::uint64_t>, std::uint64_t> model;
     std::vector<std::pair<EventId, std::pair<SimTime, std::uint64_t>>> live;
     SimTime clock = 0;
-    int payload = 0;
+    std::uint64_t payload = 0;
     for (int step = 0; step < 4000; ++step) {
         const double action = rng.uniform();
         if (action < 0.55) {
             // Epoch-quantized: land on one of the next few epoch marks.
             const SimTime t =
                 (clock / kEpoch + 1 + rng.uniform_int(0, 4)) * kEpoch;
-            const int p = payload++;
-            const std::uint64_t seq = q.next_seq();
-            const EventId id = q.schedule(t, [&popped, p] {
-                popped.push_back(p);
-            });
-            EXPECT_EQ(id.seq, seq);  // next_seq() predicted the assignment
-            model[{t, seq}] = p;
-            live.push_back({id, {t, seq}});
+            const std::uint64_t p = payload++;
+            const EventId id = q.schedule(t, Event{0, p, 0});
+            model[{t, id.seq}] = p;
+            live.push_back({id, {t, id.seq}});
         } else if (action < 0.75 && !live.empty()) {
             const std::size_t pick = rng.index(live.size());
             const auto [id, key] = live[pick];
@@ -250,13 +235,11 @@ TEST_P(EventQueueDeterminism, PopOrderMatchesReferenceHeap) {
             model.erase(key);
         } else if (!q.empty()) {
             auto ref = model.begin();
-            const auto [t, cb] = q.pop();
-            ASSERT_EQ(t, ref->first.first);
-            cb();
-            ASSERT_FALSE(popped.empty());
+            const EventQueue::Entry e = q.pop();
+            ASSERT_EQ(e.when, ref->first.first);
             // Payload identity proves FIFO within the shared timestamp.
-            ASSERT_EQ(popped.back(), ref->second);
-            clock = t;
+            ASSERT_EQ(e.event.a, ref->second);
+            clock = e.when;
             model.erase(ref);
             std::erase_if(live, [&](const auto& h) {
                 return !q.is_pending(h.first);
@@ -268,10 +251,9 @@ TEST_P(EventQueueDeterminism, PopOrderMatchesReferenceHeap) {
     // Drain: the remaining pop order must equal the model's key order.
     while (!q.empty()) {
         auto ref = model.begin();
-        const auto [t, cb] = q.pop();
-        ASSERT_EQ(t, ref->first.first);
-        cb();
-        ASSERT_EQ(popped.back(), ref->second);
+        const EventQueue::Entry e = q.pop();
+        ASSERT_EQ(e.when, ref->first.first);
+        ASSERT_EQ(e.event.a, ref->second);
         model.erase(ref);
     }
     EXPECT_TRUE(model.empty());
@@ -280,54 +262,48 @@ TEST_P(EventQueueDeterminism, PopOrderMatchesReferenceHeap) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueDeterminism,
                          ::testing::Values(7u, 99u, 2026u, 31337u));
 
-// Snapshot-style rebuild: replaying the pending manifest in ascending
-// captured-seq order into a fresh queue (fresh seqs) preserves the pop
-// order, and next_seq() advances contiguously -- the contract the snapshot
-// restore path (core/snapshot.cpp) relies on.
+// Snapshot-style rebuild: the pending entries, listed in ascending seq
+// order and scheduled into a fresh queue (fresh seqs), keep their payloads
+// and the pop order, and the fresh seqs are contiguous -- the contract the
+// snapshot capture and restore paths (core/snapshot.cpp) rely on.
 TEST(EventQueue, ManifestReplayPreservesOrderAndSeqContinuity) {
     Rng rng(77);
     EventQueue q;
-    std::vector<std::pair<EventId, int>> handles;
-    int payload = 0;
-    for (int i = 0; i < 500; ++i) {
+    std::vector<EventId> handles;
+    for (std::uint64_t p = 0; p < 500; ++p) {
         const SimTime t = (1 + rng.uniform_int(0, 19)) * 1000;
-        const int p = payload++;
-        handles.push_back({q.schedule(t, [p] {}), p});
+        handles.push_back(q.schedule(t, Event{0, p, 0}));
     }
-    for (int i = 0; i < 500; i += 3) {
-        q.cancel(handles[static_cast<std::size_t>(i)].first);
+    for (std::size_t i = 0; i < handles.size(); i += 3) {
+        q.cancel(handles[i]);
     }
     for (int i = 0; i < 100 && !q.empty(); ++i) {
         q.pop();
     }
-    // Capture the manifest: pending events in ascending seq order (handles
-    // were pushed in schedule order, i.e. ascending seq).
-    std::vector<std::pair<SimTime, std::uint64_t>> manifest;
-    for (const auto& [id, p] : handles) {
-        if (q.is_pending(id)) {
-            manifest.push_back({q.time_of(id), id.seq});
-        }
+    const std::vector<EventQueue::Entry> manifest = q.pending_entries();
+    ASSERT_EQ(manifest.size(), q.pending());
+    for (std::size_t i = 1; i < manifest.size(); ++i) {
+        ASSERT_LT(manifest[i - 1].seq, manifest[i].seq);
     }
-    // Replay into a fresh queue; restored seqs are fresh but ascending in
-    // captured-seq order, so the (when, seq) pop order is preserved.
+    for (const EventQueue::Entry& e : manifest) {
+        // Payload p was scheduled as seq p + 1.
+        ASSERT_EQ(e.seq, e.event.a + 1);
+        ASSERT_TRUE(q.is_pending(EventId{e.seq}));
+    }
     EventQueue restored;
-    std::uint64_t expect_seq = restored.next_seq();
-    for (const auto& [when, old_seq] : manifest) {
-        const EventId id = restored.schedule(when, [] {});
+    std::uint64_t expect_seq = 1;
+    for (const EventQueue::Entry& e : manifest) {
+        const EventId id = restored.schedule(e.when, e.event);
         EXPECT_EQ(id.seq, expect_seq);  // contiguous assignment
         ++expect_seq;
     }
-    EXPECT_EQ(restored.next_seq(), expect_seq);
     EXPECT_EQ(restored.pending(), manifest.size());
     // Both queues drain in the same (when, original capture order).
-    std::size_t at = 0;
-    std::sort(manifest.begin(), manifest.end());
     while (!q.empty()) {
-        const SimTime t_old = q.pop().first;
-        const SimTime t_new = restored.pop().first;
-        ASSERT_EQ(t_old, t_new);
-        ASSERT_EQ(t_old, manifest[at].first);
-        ++at;
+        const EventQueue::Entry old_e = q.pop();
+        const EventQueue::Entry new_e = restored.pop();
+        ASSERT_EQ(old_e.when, new_e.when);
+        ASSERT_EQ(old_e.event.a, new_e.event.a);
     }
     EXPECT_TRUE(restored.empty());
 }
@@ -342,7 +318,7 @@ TEST(EventQueue, ResizeThresholdsPreserveOrder) {
     // Grow phase: push far past the boot capacity.
     for (int i = 0; i < 5000; ++i) {
         const SimTime t = (1 + rng.uniform_int(0, 99)) * 500;
-        const EventId id = q.schedule(t, [] {});
+        const EventId id = q.schedule(t, Event{});
         model[{t, id.seq}] = true;
     }
     EXPECT_GT(q.bucket_count(), boot_buckets);
@@ -351,7 +327,7 @@ TEST(EventQueue, ResizeThresholdsPreserveOrder) {
     std::uint64_t last_seq = 0;
     for (int i = 0; i < 4900; ++i) {
         auto ref = model.begin();
-        const auto [t, cb] = q.pop();
+        const SimTime t = q.pop().when;
         ASSERT_EQ(t, ref->first.first);
         ASSERT_TRUE(t > last || (t == last && ref->first.second > last_seq));
         last = t;
@@ -361,7 +337,7 @@ TEST(EventQueue, ResizeThresholdsPreserveOrder) {
     EXPECT_LT(q.bucket_count(), 5000u);
     while (!q.empty()) {
         auto ref = model.begin();
-        ASSERT_EQ(q.pop().first, ref->first.first);
+        ASSERT_EQ(q.pop().when, ref->first.first);
         model.erase(ref);
     }
 }

@@ -1,6 +1,5 @@
 #include "scenario/scenario_player.hpp"
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -8,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/event_kind.hpp"
 #include "core/platform_engine.hpp"
 #include "core/system.hpp"
 #include "core/test_engine.hpp"
@@ -88,10 +88,11 @@ RunArtifacts run_scenario_restored(const SystemConfig& cfg,
 
 /// The differential reference: a driver that hand-issues the exact same
 /// engine-seam calls the ScenarioPlayer makes, through its own chained
-/// calendar events. Burst applications come from an embedded player (the
-/// generator is part of the scenario contract); every other seam call is
-/// spelled out explicitly. Byte-identical artifacts prove the player adds
-/// nothing beyond the documented seam sequence.
+/// `scenario` events (fire(i) applies directive i by hand and schedules
+/// i + 1). Burst applications come from an embedded player (the generator
+/// is part of the scenario contract); every other seam call is spelled out
+/// explicitly. Byte-identical artifacts prove the player adds nothing
+/// beyond the documented seam sequence.
 class HandDriver final : public ScenarioDriver {
 public:
     explicit HandDriver(ScenarioSpec spec) : player_(std::move(spec)) {}
@@ -104,10 +105,14 @@ public:
 
     void begin(SimDuration /*horizon*/) override { schedule(0); }
 
-    // This leg never checkpoints; any snapshot hook firing is a test bug.
-    void append_event_manifest(std::vector<SnapshotEvent>&) const override {
-        MCS_REQUIRE(false, "hand-driven leg must not snapshot");
+    void fire(std::uint64_t i) override {
+        apply_by_hand(i);
+        if (i + 1 < spec().directives.size()) {
+            schedule(i + 1);
+        }
     }
+
+    // This leg never checkpoints; any snapshot hook firing is a test bug.
     void save_state(telemetry::JsonWriter&) const override {
         MCS_REQUIRE(false, "hand-driven leg must not snapshot");
     }
@@ -120,20 +125,17 @@ public:
     void reapply_restored() override {
         MCS_REQUIRE(false, "hand-driven leg must not restore");
     }
-    void schedule_restored_directive(std::uint64_t, SimTime) override {
+    bool expects_directive(std::uint64_t, SimTime) const override {
         MCS_REQUIRE(false, "hand-driven leg must not restore");
+        return false;
     }
 
 private:
     const ScenarioSpec& spec() const { return player_.spec(); }
 
     void schedule(std::size_t i) {
-        sys_->simulator().schedule_at(spec().directives[i].at, [this, i] {
-            apply_by_hand(i);
-            if (i + 1 < spec().directives.size()) {
-                schedule(i + 1);
-            }
-        });
+        sys_->simulator().schedule_at(spec().directives[i].at,
+                                      make_event(EventKind::Scenario, i));
     }
 
     std::vector<CoreId> targets_of(const ScenarioDirective& d) const {

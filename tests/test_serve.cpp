@@ -561,6 +561,19 @@ TEST_F(ServeServiceTest, NegativeDurationOverridesAre400) {
               200);
 }
 
+TEST_F(ServeServiceTest, BadOverrideBodyHidesTheSourceTree) {
+    // A 400 body names the failing check by file basename and line, never
+    // by the build's absolute path.
+    const HttpResponse r = service_.handle(whatif_request(
+        "{\"schema\":\"mcs.whatif_query.v1\",\"snapshot\":\"warm\","
+        "\"overrides\":{\"test_period_ms\":0}}"));
+    ASSERT_EQ(r.status, 400) << r.body;
+    EXPECT_NE(r.body.find("config_bridge.cpp:"), std::string::npos)
+        << r.body;
+    EXPECT_EQ(r.body.find(MCS_SOURCE_DIR), std::string::npos) << r.body;
+    EXPECT_EQ(r.body.find("src/core/"), std::string::npos) << r.body;
+}
+
 TEST_F(ServeServiceTest, ReloadSwapsPoolAndPinnedGenerationSurvives) {
     const std::string body =
         "{\"schema\":\"mcs.whatif_query.v1\",\"snapshot\":\"warm\","

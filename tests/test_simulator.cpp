@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +10,17 @@
 namespace mcs {
 namespace {
 
+/// Dispatcher that records (time, payload a) of every executed event.
+struct Recorder {
+    explicit Recorder(Simulator& sim) : sim(sim) {
+        sim.set_dispatcher([this](const Event& e) {
+            seen.push_back({this->sim.now(), e.a});
+        });
+    }
+    Simulator& sim;
+    std::vector<std::pair<SimTime, std::uint64_t>> seen;
+};
+
 TEST(Simulator, StartsAtZero) {
     Simulator sim;
     EXPECT_EQ(sim.now(), 0u);
@@ -17,38 +29,40 @@ TEST(Simulator, StartsAtZero) {
 
 TEST(Simulator, RunsEventsInOrderAndAdvancesClock) {
     Simulator sim;
-    std::vector<SimTime> seen;
-    sim.schedule_at(50, [&] { seen.push_back(sim.now()); });
-    sim.schedule_at(10, [&] { seen.push_back(sim.now()); });
-    sim.schedule_in(30, [&] { seen.push_back(sim.now()); });
+    Recorder rec(sim);
+    sim.schedule_at(50, Event{0, 50, 0});
+    sim.schedule_at(10, Event{0, 10, 0});
+    sim.schedule_in(30, Event{0, 30, 0});
     const auto ran = sim.run_until(100);
     EXPECT_EQ(ran, 3u);
-    EXPECT_EQ(seen, (std::vector<SimTime>{10, 30, 50}));
+    const std::vector<std::pair<SimTime, std::uint64_t>> want = {
+        {10, 10}, {30, 30}, {50, 50}};
+    EXPECT_EQ(rec.seen, want);
     EXPECT_EQ(sim.now(), 100u);  // clock parked at horizon
 }
 
 TEST(Simulator, RunUntilStopsBeforeLaterEvents) {
     Simulator sim;
-    bool late = false;
-    sim.schedule_at(200, [&] { late = true; });
+    Recorder rec(sim);
+    sim.schedule_at(200, Event{});
     sim.run_until(100);
-    EXPECT_FALSE(late);
+    EXPECT_TRUE(rec.seen.empty());
     EXPECT_EQ(sim.now(), 100u);
     EXPECT_EQ(sim.pending_events(), 1u);
     sim.run_until(300);
-    EXPECT_TRUE(late);
+    EXPECT_EQ(rec.seen.size(), 1u);
 }
 
 TEST(Simulator, EventsMayScheduleMoreEvents) {
     Simulator sim;
     int chain = 0;
-    std::function<void()> next = [&] {
+    sim.set_dispatcher([&](const Event& e) {
         ++chain;
         if (chain < 5) {
-            sim.schedule_in(10, next);
+            sim.schedule_in(10, Event{e.kind, e.a + 1, 0});
         }
-    };
-    sim.schedule_at(0, next);
+    });
+    sim.schedule_at(0, Event{});
     sim.run_until(1000);
     EXPECT_EQ(chain, 5);
     EXPECT_EQ(sim.events_executed(), 5u);
@@ -56,109 +70,66 @@ TEST(Simulator, EventsMayScheduleMoreEvents) {
 
 TEST(Simulator, EventAtHorizonRuns) {
     Simulator sim;
-    bool ran = false;
-    sim.schedule_at(100, [&] { ran = true; });
+    Recorder rec(sim);
+    sim.schedule_at(100, Event{});
     sim.run_until(100);
-    EXPECT_TRUE(ran);
+    EXPECT_EQ(rec.seen.size(), 1u);
 }
 
 TEST(Simulator, SchedulingIntoPastThrows) {
     Simulator sim;
-    sim.schedule_at(10, [] {});
+    Recorder rec(sim);
+    sim.schedule_at(10, Event{});
     sim.run_until(50);
-    EXPECT_THROW(sim.schedule_at(20, [] {}), RequireError);
+    EXPECT_THROW(sim.schedule_at(20, Event{}), RequireError);
 }
 
 TEST(Simulator, CancelWorks) {
     Simulator sim;
-    bool fired = false;
-    const EventId id = sim.schedule_at(10, [&] { fired = true; });
+    Recorder rec(sim);
+    const EventId id = sim.schedule_at(10, Event{});
     EXPECT_TRUE(sim.is_pending(id));
     EXPECT_TRUE(sim.cancel(id));
     sim.run_until(100);
-    EXPECT_FALSE(fired);
-}
-
-TEST(Simulator, PeriodicFiresAtFixedCadence) {
-    Simulator sim;
-    std::vector<SimTime> fires;
-    sim.every(100, [&](SimTime t) { fires.push_back(t); });
-    sim.run_until(550);
-    EXPECT_EQ(fires, (std::vector<SimTime>{100, 200, 300, 400, 500}));
-}
-
-TEST(Simulator, PeriodicWithExplicitPhase) {
-    Simulator sim;
-    std::vector<SimTime> fires;
-    sim.every(100, 30, [&](SimTime t) { fires.push_back(t); });
-    sim.run_until(300);
-    EXPECT_EQ(fires, (std::vector<SimTime>{30, 130, 230}));
-}
-
-TEST(Simulator, StopPeriodicHaltsFiring) {
-    Simulator sim;
-    int count = 0;
-    const auto handle = sim.every(10, [&](SimTime) { ++count; });
-    sim.run_until(35);
-    EXPECT_EQ(count, 3);
-    sim.stop_periodic(handle);
-    sim.run_until(100);
-    EXPECT_EQ(count, 3);
-}
-
-TEST(Simulator, PeriodicMayStopItself) {
-    Simulator sim;
-    int count = 0;
-    Simulator::PeriodicHandle handle;
-    handle = sim.every(10, [&](SimTime) {
-        if (++count == 2) {
-            sim.stop_periodic(handle);
-        }
-    });
-    sim.run_until(1000);
-    EXPECT_EQ(count, 2);
-}
-
-TEST(Simulator, StopPeriodicTwiceIsNoop) {
-    Simulator sim;
-    const auto handle = sim.every(10, [](SimTime) {});
-    sim.stop_periodic(handle);
-    sim.stop_periodic(handle);  // must not crash
-    sim.run_until(100);
-}
-
-TEST(Simulator, TwoPeriodicsInterleave) {
-    Simulator sim;
-    std::vector<int> order;
-    sim.every(30, [&](SimTime) { order.push_back(3); });
-    sim.every(20, [&](SimTime) { order.push_back(2); });
-    sim.run_until(60);
-    // t=20:2, t=30:3, t=40:2, t=60:2 then 3 (2 scheduled first at equal t? no:
-    // both fire at 60; the one whose event was scheduled earlier wins FIFO).
-    EXPECT_EQ(order.size(), 5u);
-    EXPECT_EQ(order[0], 2);
-    EXPECT_EQ(order[1], 3);
-}
-
-TEST(Simulator, PeriodicValidation) {
-    Simulator sim;
-    EXPECT_THROW(sim.every(0, [](SimTime) {}), RequireError);
-    sim.schedule_at(10, [] {});
-    sim.run_until(20);
-    EXPECT_THROW(sim.every(10, 5, [](SimTime) {}), RequireError);
+    EXPECT_TRUE(rec.seen.empty());
 }
 
 TEST(Simulator, StepExecutesSingleEvent) {
     Simulator sim;
-    int count = 0;
-    sim.schedule_at(5, [&] { ++count; });
-    sim.schedule_at(10, [&] { ++count; });
+    Recorder rec(sim);
+    sim.schedule_at(5, Event{});
+    sim.schedule_at(10, Event{});
     EXPECT_TRUE(sim.step(100));
-    EXPECT_EQ(count, 1);
+    EXPECT_EQ(rec.seen.size(), 1u);
     EXPECT_EQ(sim.now(), 5u);
     EXPECT_TRUE(sim.step(100));
     EXPECT_FALSE(sim.step(100));
-    EXPECT_EQ(count, 2);
+    EXPECT_EQ(rec.seen.size(), 2u);
+}
+
+TEST(Simulator, DispatcherIsSetOnceAndMustBeCallable) {
+    Simulator sim;
+    EXPECT_THROW(sim.set_dispatcher(Simulator::Dispatcher{}), RequireError);
+    sim.set_dispatcher([](const Event&) {});
+    EXPECT_THROW(sim.set_dispatcher([](const Event&) {}), RequireError);
+}
+
+// The event payload reaches the dispatcher unchanged, and ties at one
+// timestamp run in scheduling order.
+TEST(Simulator, DispatchesPayloadInFifoOrder) {
+    Simulator sim;
+    std::vector<Event> got;
+    sim.set_dispatcher([&](const Event& e) { got.push_back(e); });
+    for (std::uint32_t i = 0; i < 8; ++i) {
+        sim.schedule_at(7, Event{i % 3, i, 100 + i});
+    }
+    sim.run_until(7);
+    ASSERT_EQ(got.size(), 8u);
+    for (std::uint32_t i = 0; i < 8; ++i) {
+        EXPECT_EQ(got[i].kind, i % 3);
+        EXPECT_EQ(got[i].a, i);
+        EXPECT_EQ(got[i].b, 100u + i);
+    }
 }
 
 }  // namespace

@@ -10,9 +10,11 @@ Two kinds of rule, one per guarded header:
     fails when the header grows past its budget or when one of the
     deliberately-hidden headers reappears.
 
-  * src/sim/event_queue.hpp -- the simulation substrate must stay below the
-    architecture/engine layers: the calendar queue is a pure (time, seq,
-    callback) container and must never reach up into arch/ or core/
+  * src/sim/event_queue.hpp and src/sim/simulator.hpp -- the simulation
+    substrate must stay below the architecture/engine layers: the calendar
+    queue holds plain (time, seq, kind, a, b) entries and the simulator
+    hands each to one dispatcher, with the kind an opaque integer whose
+    meaning lives in core/. Neither may reach up into arch/ or core/
     headers. A forbidden *prefix* guards the whole subtree, so a new
     core/foo.hpp cannot slip in unnamed.
 
@@ -64,6 +66,10 @@ RULES = (
     ),
     Rule(
         header="src/sim/event_queue.hpp",
+        forbidden_prefixes=("arch/", "core/"),
+    ),
+    Rule(
+        header="src/sim/simulator.hpp",
         forbidden_prefixes=("arch/", "core/"),
     ),
 )
