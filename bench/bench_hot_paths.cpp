@@ -1,14 +1,12 @@
-// H1 -- hot-path refactor gate: calendar event queue, SoA core lanes,
-// patch-on-commit test candidacy.
+// H1 -- hot-path refactor gate: calendar event queue, SoA core lanes.
 //
 // Two halves, matching the perf-gate split in tools/check_bench.py:
 //
 //   * "metrics" (blocking, byte-deterministic): work counters from a fixed
 //     full-system run plus a seeded event-queue mix. These pin the refactor
-//     semantics -- the candidacy view must run on journal patches (exactly
-//     one rescan per run), cancelled events must be counted, and the
-//     queue's pop order must stay the strict (when, seq) FIFO order (hashed
-//     so any reorder trips the 1e-6 gate).
+//     semantics -- cancelled events must be counted, and the queue's pop
+//     order must stay the strict (when, seq) FIFO order (hashed so any
+//     reorder trips the 1e-6 gate).
 //
 //   * "wall" (aux, advisory): wall-clock of the epoch-quantized queue mix
 //     on the calendar queue vs a binary-heap reference, and of the per-core
@@ -24,7 +22,6 @@
 
 #include "arch/core_lanes.hpp"
 #include "bench_common.hpp"
-#include "core/test_engine.hpp"
 #include "core/workload_engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
@@ -94,12 +91,11 @@ struct PopHash {
 int main(int argc, char** argv) {
     const BenchOptions opt = parse_options(argc, argv);
     print_header("H1 (gate): hot-path state refactor",
-                 "calendar queue, SoA lanes and patched candidacy change "
-                 "cost, not behaviour");
+                 "calendar queue and SoA lanes change cost, not behaviour");
     BenchReport report("hot_paths", opt);
     const int kRounds = opt.quick ? 2'000 : 20'000;
 
-    // --- 1. Full-system run: patched candidacy + cancel accounting ------
+    // --- 1. Full-system run: cancel accounting ---------------------------
     {
         SystemConfig cfg = base_config(17);
         cfg.scheduler = SchedulerKind::PowerAware;
@@ -119,15 +115,6 @@ int main(int argc, char** argv) {
                       static_cast<double>(sys.simulator().events_executed()));
         report.metric("run.events_cancelled",
                       static_cast<double>(sys.simulator().events_cancelled()));
-        // The refactor's contract: the whole run pays one boot rescan and
-        // thereafter maintains candidacy purely from the membership
-        // journal. A second rescan anywhere trips the gate.
-        report.metric(
-            "run.candidacy_rescans",
-            static_cast<double>(sys.test_engine().candidacy_rescans()));
-        report.metric(
-            "run.candidacy_patches",
-            static_cast<double>(sys.test_engine().candidacy_patches()));
         report.metric(
             "run.mapping_chip_scans",
             static_cast<double>(sys.workload_engine().chip_scans()));

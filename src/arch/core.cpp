@@ -58,7 +58,6 @@ void Core::transition(SimTime now, CoreState to) {
     checkpoint(now);
     lanes_->state[id_] = to;
     lanes_->last_state_change[id_] = now;
-    lanes_->note_membership_change(id_);
 }
 
 void Core::start_task(SimTime now) {
@@ -121,11 +120,7 @@ void Core::set_vf_level(SimTime now, int level) {
 }
 
 void Core::set_reserved(bool reserved) {
-    if ((lanes_->reserved[id_] != 0) == reserved) {
-        return;
-    }
     lanes_->reserved[id_] = reserved ? 1 : 0;
-    lanes_->note_membership_change(id_);
 }
 
 double Core::busy_fraction(SimTime now) const {
@@ -156,7 +151,6 @@ void Core::load_state(const PersistedState& s) {
     lanes_->tests_completed[id_] = s.tests_completed;
     lanes_->tests_aborted[id_] = s.tests_aborted;
     lanes_->tasks_executed[id_] = s.tasks_executed;
-    lanes_->note_membership_change(id_);
 }
 
 }  // namespace mcs

@@ -34,8 +34,7 @@ const char* to_string(CoreState state);
 /// the chip-owned CoreLanes struct-of-arrays (slot = core id), so the
 /// per-epoch loops iterate flat lanes while this class keeps the checked
 /// public API. Every state or reservation change funnels through
-/// transition()/set_reserved(), which record the core in the lanes'
-/// membership journal for the patch-on-commit test-candidacy view.
+/// transition()/set_reserved().
 class Core {
 public:
     /// `vf_table` and `lanes` must outlive the core (both owned by Chip).

@@ -25,9 +25,6 @@ void CoreLanes::reset(std::size_t n) {
     damage.assign(n, 0.0);
     criticality.assign(n, 0.0);
     power_w.assign(n, 0.0);
-    dirty_flag_.assign(n, 0);
-    dirty_.clear();
-    dirty_.reserve(n);
 }
 
 }  // namespace mcs

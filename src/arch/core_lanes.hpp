@@ -13,8 +13,8 @@ enum class CoreState;
 /// Slot i belongs to the row-major core id i. `Core` is a thin indexed
 /// view over these lanes (its checked transitions are the only writers of
 /// the state-machine lanes), so the hot per-epoch loops -- thermal step,
-/// wear integration, criticality, power fills, energy/trace folds, test
-/// candidacy -- iterate flat contiguous arrays instead of chasing
+/// wear integration, criticality, power fills, energy/trace folds, the
+/// test-candidate scan -- iterate flat contiguous arrays instead of chasing
 /// per-object fields.
 ///
 /// The epoch lanes at the bottom (temperature, damage, criticality, power)
@@ -22,12 +22,6 @@ enum class CoreState;
 /// and AgingTracker bind `temp_c` / `damage` as their backing storage, and
 /// PlatformEngine fills `criticality` / `power_w` in place, so an epoch's
 /// producer and its consumers share one allocation with no scratch copy.
-///
-/// Membership journal: every state or reservation change is recorded
-/// (deduplicated) in `dirty_`. It has exactly one consumer -- the
-/// TestEngine's patch-on-commit candidacy view (core/test_candidacy.hpp),
-/// which drains it each test epoch. A run is single-threaded, so the
-/// journal needs no synchronization.
 class CoreLanes {
 public:
     CoreLanes() = default;
@@ -57,28 +51,7 @@ public:
     std::vector<double> temp_c;       ///< ThermalModel's live node temps
     std::vector<double> damage;       ///< AgingTracker's accumulated wear
     std::vector<double> criticality;  ///< last refresh_criticality() result
-    std::vector<double> power_w;      ///< per-core power fill scratch
-
-    // --- membership journal (single consumer; see class comment) ---
-    void note_membership_change(std::uint32_t core) {
-        if (!dirty_flag_[core]) {
-            dirty_flag_[core] = 1;
-            dirty_.push_back(core);
-        }
-    }
-    const std::vector<std::uint32_t>& dirty() const noexcept {
-        return dirty_;
-    }
-    void clear_dirty() noexcept {
-        for (std::uint32_t core : dirty_) {
-            dirty_flag_[core] = 0;
-        }
-        dirty_.clear();
-    }
-
-private:
-    std::vector<std::uint8_t> dirty_flag_;
-    std::vector<std::uint32_t> dirty_;
+    std::vector<double> power_w;      ///< this power epoch's core power
 };
 
 }  // namespace mcs

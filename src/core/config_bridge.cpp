@@ -78,6 +78,33 @@ CriticalityMode parse_crit_mode(const std::string& name) {
     return CriticalityMode::UtilizationDriven;
 }
 
+/// Reads an integer key, rejecting values outside [lo, hi] before the
+/// caller narrows or reinterprets it.
+std::int64_t int_in_range(const Config& cfg, const std::string& key,
+                          std::int64_t fallback, std::int64_t lo,
+                          std::int64_t hi, const std::string& unit = "") {
+    const std::int64_t v = cfg.get_int(key, fallback);
+    MCS_REQUIRE(v >= lo && v <= hi,
+                key + " must be in [" + std::to_string(lo) + ", " +
+                    std::to_string(hi) + "]" + unit);
+    return v;
+}
+
+int int_key(const Config& cfg, const std::string& key, int fallback) {
+    return static_cast<int>(int_in_range(cfg, key, fallback,
+                                          std::numeric_limits<int>::min(),
+                                          std::numeric_limits<int>::max()));
+}
+
+/// A cycle count: at least 1 (a negative value would wrap the unsigned
+/// count).
+std::uint64_t cycles_key(const Config& cfg, const std::string& key,
+                         std::uint64_t fallback) {
+    return static_cast<std::uint64_t>(
+        int_in_range(cfg, key, static_cast<std::int64_t>(fallback), 1,
+                     std::numeric_limits<std::int64_t>::max()));
+}
+
 /// Reads a millisecond key as a SimDuration, rejecting values below
 /// `min_ms` (a negative value would wrap the unsigned clock) and values so
 /// large that the schedulers' period arithmetic (up to 16 periods plus the
@@ -86,11 +113,9 @@ SimDuration duration_ms(const Config& cfg, const std::string& key,
                         std::int64_t fallback, std::int64_t min_ms) {
     constexpr std::int64_t kMaxMs = static_cast<std::int64_t>(
         std::numeric_limits<SimDuration>::max() / 64 / kMillisecond);
-    const std::int64_t ms = cfg.get_int(key, fallback);
-    MCS_REQUIRE(ms >= min_ms && ms <= kMaxMs,
-                key + " must be in [" + std::to_string(min_ms) + ", " +
-                    std::to_string(kMaxMs) + "] ms");
-    return static_cast<SimDuration>(ms) * kMillisecond;
+    return static_cast<SimDuration>(
+               int_in_range(cfg, key, fallback, min_ms, kMaxMs, " ms")) *
+           kMillisecond;
 }
 
 }  // namespace
@@ -102,31 +127,24 @@ SystemConfig system_config_from(const Config& cfg) {
     }
 
     SystemConfig sys;
-    sys.width = static_cast<int>(cfg.get_int("width", 8));
-    sys.height = static_cast<int>(cfg.get_int("height", 8));
+    sys.width = int_key(cfg, "width", 8);
+    sys.height = int_key(cfg, "height", 8);
     if (cfg.has("side")) {
         // Square-chip shorthand (sweep axes set one key per axis).
         MCS_REQUIRE(!cfg.has("width") && !cfg.has("height"),
                     "side cannot be combined with width/height");
-        sys.width = static_cast<int>(cfg.get_int("side", 8));
+        sys.width = int_key(cfg, "side", 8);
         sys.height = sys.width;
     }
     sys.node = parse_node(cfg.get_string("node", "16nm"));
     sys.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
     sys.tdp_scale = cfg.get_double("tdp_scale", 1.0);
 
-    sys.workload.graphs.min_tasks =
-        static_cast<int>(cfg.get_int("min_tasks", 4));
-    sys.workload.graphs.max_tasks =
-        static_cast<int>(cfg.get_int("max_tasks", 16));
-    sys.workload.graphs.min_cycles = static_cast<std::uint64_t>(
-        cfg.get_int("min_cycles",
-                    static_cast<std::int64_t>(
-                        sys.workload.graphs.min_cycles)));
-    sys.workload.graphs.max_cycles = static_cast<std::uint64_t>(
-        cfg.get_int("max_cycles",
-                    static_cast<std::int64_t>(
-                        sys.workload.graphs.max_cycles)));
+    TaskGraphGenParams& graphs = sys.workload.graphs;
+    graphs.min_tasks = int_key(cfg, "min_tasks", 4);
+    graphs.max_tasks = int_key(cfg, "max_tasks", 16);
+    graphs.min_cycles = cycles_key(cfg, "min_cycles", graphs.min_cycles);
+    graphs.max_cycles = cycles_key(cfg, "max_cycles", graphs.max_cycles);
     const double hard = cfg.get_double("hard_rt_share", 0.0);
     const double soft = cfg.get_double("soft_rt_share", 0.0);
     MCS_REQUIRE(hard >= 0.0 && soft >= 0.0 && hard + soft <= 1.0,
@@ -149,7 +167,7 @@ SystemConfig system_config_from(const Config& cfg) {
                                 technology(sys.node).max_freq_hz;
         if (sys.workload.graph_library.empty()) {
             sys.workload.arrival_rate_hz = rate_for_occupancy(
-                occupancy, sys.workload.graphs, capacity);
+                occupancy, graphs, capacity);
         } else {
             // Library-driven: occupancy from the library graphs' critical
             // paths.

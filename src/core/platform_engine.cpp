@@ -1,6 +1,7 @@
 #include "core/platform_engine.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "core/system.hpp"
 #include "core/test_engine.hpp"
@@ -63,6 +64,7 @@ double PlatformEngine::noc_power_w() const {
 
 void PlatformEngine::accumulate_energy(SimTime now) {
     MCS_REQUIRE(now >= energy_clock_, "energy clock going backwards");
+    fill_power_lane();  // power_epoch reads the lane even when dt is 0
     const double dt_s = to_seconds(now - energy_clock_);
     energy_clock_ = now;
     if (dt_s <= 0.0) {
@@ -71,7 +73,6 @@ void PlatformEngine::accumulate_energy(SimTime now) {
     link_test_energy_j_ +=
         static_cast<double>(ctx_.test->link_tests_running()) *
         ctx_.cfg.noc_test.test_power_w * dt_s;
-    fill_power_lane();
     const CoreLanes& lanes = ctx_.chip.lanes();
     for (std::size_t i = 0; i < lanes.size(); ++i) {
         const double p = lanes.power_w[i];
@@ -100,10 +101,14 @@ void PlatformEngine::fill_power_lane() {
 }
 
 void PlatformEngine::power_epoch() {
-    accumulate_energy(ctx_.sim.now());
+    const SimTime now = ctx_.sim.now();
+    accumulate_energy(now);
     ctx_.noc.roll_window();
-    power_mgr_.control_epoch(ctx_.sim.now(), thermal_.temps_c(),
-                             noc_power_w());
+    // The lane accumulate_energy just filled is the epoch's one measurement
+    // of core power, summed in core order from 0.0 as chip_power_w does.
+    const std::vector<double>& power = ctx_.chip.lanes().power_w;
+    const double cores_w = std::accumulate(power.begin(), power.end(), 0.0);
+    power_mgr_.control_epoch(now, cores_w + noc_power_w(), thermal_.temps_c());
 }
 
 void PlatformEngine::thermal_epoch() {

@@ -49,7 +49,8 @@ public:
     double core_power_now(const Core& core) const;
     /// NoC static power plus in-flight link-test power.
     double noc_power_w() const;
-    /// Integrates the per-state energy split up to `now`.
+    /// Fills the power lane, then integrates the per-state energy split
+    /// up to `now`.
     void accumulate_energy(SimTime now);
 
     PowerManager& power_manager() noexcept { return power_mgr_; }

@@ -59,8 +59,6 @@ TestEngine::TestEngine(SystemContext& ctx)
     test_progress_.assign(ctx_.chip.core_count(), 0);
     last_test_done_.assign(ctx_.chip.core_count(), 0);
     last_test_abort_.assign(ctx_.chip.core_count(), 0);
-    candidacy_.bind(&ctx_.chip.lanes(), &last_test_abort_,
-                    ctx_.cfg.test_retry_backoff);
     ctx_.link_tester = link_tester_ ? &*link_tester_ : nullptr;
     ctx_.test = this;
 }
@@ -75,15 +73,21 @@ void TestEngine::test_epoch() {
     sctx.power_slack_w = ctx_.power_mgr->headroom_w();
     sctx.tests_running = tests_running_;
     sctx.vf_table = &ctx_.chip.vf_table();
-    // Candidate ids come from the patched candidacy view (no chip rescan;
-    // equivalence argument in core/test_candidacy.hpp), in member (= core)
-    // order.
-    const std::vector<CoreId>& members = candidacy_.members(now);
+    // Candidates: unreserved idle/dark cores outside their abort backoff,
+    // in core order.
+    ++rescans_;
     const CoreLanes& lanes = ctx_.chip.lanes();
-    sctx.candidates.reserve(members.size());
-    for (const CoreId id : members) {
+    const SimDuration backoff = ctx_.cfg.test_retry_backoff;
+    for (CoreId id = 0; id < lanes.size(); ++id) {
+        const CoreState s = lanes.state[id];
+        const SimTime abort = last_test_abort_[id];
+        if (lanes.reserved[id] != 0 ||
+            (s != CoreState::Idle && s != CoreState::Dark) ||
+            (abort != 0 && now - abort < backoff)) {
+            continue;
+        }
         sctx.candidates.push_back(TestCandidate{
-            id, crit[id], lanes.state[id] == CoreState::Dark,
+            id, crit[id], s == CoreState::Dark,
             now - lanes.last_state_change[id], lanes.temp_c[id],
             ctx_.idle_predictor->predict_remaining(id, now)});
     }
@@ -442,9 +446,6 @@ void TestEngine::load_state(const telemetry::JsonValue& doc) {
                                  link.at("escaped").u64(),
                                  link.at("corrupted").u64());
     }
-    // The abort stamps (and, via Core::load_state, every state lane) were
-    // just rewritten wholesale; rebuild the candidate view from scratch.
-    candidacy_.invalidate();
 }
 
 void TestEngine::finalize_into(RunMetrics& m, SimTime end) {

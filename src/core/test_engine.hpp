@@ -15,7 +15,6 @@
 
 #include "core/snapshot.hpp"
 #include "core/system_context.hpp"
-#include "core/test_candidacy.hpp"
 #include "core/test_scheduler.hpp"
 #include "noc/link_test.hpp"
 
@@ -30,10 +29,9 @@ public:
     TestEngine& operator=(const TestEngine&) = delete;
 
     /// One test epoch: refresh criticality, assemble the SchedulerContext
-    /// from the patched candidacy view (idle/dark candidates minus abort
-    /// backoff -- maintained incrementally from the lanes membership
-    /// journal, no per-epoch chip rescan), run the policy, then schedule
-    /// link tests on overdue idle links.
+    /// from one ascending-id scan of the lanes (unreserved idle/dark cores
+    /// outside their abort backoff), run the policy, then schedule link
+    /// tests on overdue idle links.
     void test_epoch();
 
     /// Starts an SBST session on `core` at `vf_level` (wakes a dark core,
@@ -82,14 +80,10 @@ public:
     const LinkTester* link_tester() const noexcept {
         return link_tester_ ? &*link_tester_ : nullptr;
     }
-    /// Candidacy maintenance counters (full chip rescans vs journal
-    /// patches); accessor-only, gated by the hot-path bench.
-    std::uint64_t candidacy_rescans() const noexcept {
-        return candidacy_.rescans();
-    }
-    std::uint64_t candidacy_patches() const noexcept {
-        return candidacy_.patches();
-    }
+    /// Lane scans for test candidates, one per test epoch (read by perfbench).
+    std::uint64_t candidacy_rescans() const noexcept { return rescans_; }
+    /// Always 0: candidates are never patched in place (read by perfbench).
+    std::uint64_t candidacy_patches() const noexcept { return 0; }
 
     /// Writes the test-owned slice of the end-of-run metrics (coverage
     /// gaps, per-core test rates, link-test results) and exports the
@@ -130,11 +124,7 @@ private:
     std::vector<SimTime> last_test_done_;
     std::vector<SimTime> last_test_abort_;
     int tests_running_ = 0;
-
-    /// Incrementally maintained candidate set (sorted by core id); the
-    /// per-epoch work is draining the lanes membership journal instead of
-    /// rescanning the chip. Mutable through members() only.
-    TestCandidacyView candidacy_;
+    std::uint64_t rescans_ = 0;
 };
 
 }  // namespace mcs

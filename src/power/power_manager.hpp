@@ -74,12 +74,12 @@ public:
     /// and boosting favors high-priority ones.
     void set_priority_lookup(std::function<int(CoreId)> lookup);
 
-    /// One control epoch: measure power (plus `extra_power_w`, e.g. NoC
-    /// routers), record it against the budget, reset the ledger to the
-    /// measurement, run the PID, actuate DVFS, and apply power gating.
+    /// One control epoch: record `measured_power_w` (the caller's chip
+    /// power measurement, NoC included) against the budget, reset the
+    /// ledger to it, run the PID, actuate DVFS, and apply power gating.
     /// `temps_c` is indexed by CoreId (may be empty).
-    void control_epoch(SimTime now, std::span<const double> temps_c,
-                       double extra_power_w = 0.0);
+    void control_epoch(SimTime now, double measured_power_w,
+                       std::span<const double> temps_c);
 
     /// DVFS level for a task about to start on `core`: the highest level
     /// whose busy-power increment over the core's current idle power fits

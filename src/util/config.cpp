@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
 
 #include "util/require.hpp"
@@ -107,6 +108,8 @@ double Config::get_double(const std::string& key, double fallback) const {
         std::size_t pos = 0;
         const double parsed = std::stod(*v, &pos);
         MCS_REQUIRE(pos == v->size(), "trailing characters in double");
+        MCS_REQUIRE(std::isfinite(parsed),
+                    "config key '" + key + "' is not a finite number: " + *v);
         return parsed;
     } catch (const RequireError&) {
         throw;

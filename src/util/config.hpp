@@ -30,6 +30,7 @@ public:
                            const std::string& fallback) const;
     /// Throws RequireError if present but unparsable.
     std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+    /// Also throws if the value is not finite (inf, nan).
     double get_double(const std::string& key, double fallback) const;
     bool get_bool(const std::string& key, bool fallback) const;
 

@@ -131,6 +131,51 @@ TEST(ConfigBridge, DurationsMustBeInRange) {
               31'536'000'000 * kMillisecond);
 }
 
+/// Expects `key=value` to be rejected with an error naming the key.
+void expect_rejected(const std::string& key, const std::string& value) {
+    Config c;
+    c.set(key, value);
+    try {
+        system_config_from(c);
+        ADD_FAILURE() << key << "=" << value << " accepted";
+    } catch (const RequireError& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ConfigBridge, NonFiniteDoublesRejected) {
+    // std::stod parses "inf" and "nan"; tdp_scale=inf used to run and
+    // report "tdp_w":null, criticality_threshold=nan ran silently.
+    for (const char* value : {"inf", "-inf", "nan", "INFINITY"}) {
+        expect_rejected("tdp_scale", value);
+        expect_rejected("criticality_threshold", value);
+    }
+    Config finite;
+    finite.set("tdp_scale", "1.5");
+    EXPECT_DOUBLE_EQ(system_config_from(finite).tdp_scale, 1.5);
+}
+
+TEST(ConfigBridge, IntegerKeysRangeCheckedBeforeNarrowing) {
+    // max_cycles=-1 used to wrap to 2^64-1 and finish "0/0 apps" with
+    // exit 0; an int key past INT_MAX used to truncate silently.
+    for (const char* key : {"min_cycles", "max_cycles"}) {
+        expect_rejected(key, "-1");
+        expect_rejected(key, "0");
+    }
+    for (const char* key : {"width", "height", "min_tasks", "max_tasks"}) {
+        expect_rejected(key, "4294967304");  // 2^32 + 8 truncates to 8
+        expect_rejected(key, "-2147483649");
+    }
+    expect_rejected("side", "4294967300");
+    Config c;
+    c.set("min_cycles", "1");
+    c.set("max_cycles", "9000000000");
+    const SystemConfig sys = system_config_from(c);
+    EXPECT_EQ(sys.workload.graphs.min_cycles, 1u);
+    EXPECT_EQ(sys.workload.graphs.max_cycles, 9'000'000'000u);
+}
+
 TEST(ConfigBridge, RetiredEpochWorkersKeyIsIgnored) {
     Config c;
     c.set("epoch_workers", "4");

@@ -1,16 +1,18 @@
 // Unit-level tests for the engine seams behind the ManycoreSystem façade:
 // the per-round platform-view cache (one chip scan per mapping round), the
 // segmented-test abort/resume path under mapping contention, the abort
-// backoff filter, and set_priority_blind's interaction with the QoS
-// admission queues. These drive WorkloadEngine/TestEngine directly --
+// backoff filter, the power epoch's one measurement of chip power, and
+// set_priority_blind's interaction with the QoS admission queues. These drive WorkloadEngine/TestEngine directly --
 // no full-system run() needed except where app completion matters.
 
 #include <gtest/gtest.h>
 
+#include "core/platform_engine.hpp"
 #include "core/system.hpp"
 #include "core/system_observer.hpp"
 #include "core/test_engine.hpp"
 #include "core/workload_engine.hpp"
+#include "power/power_manager.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -200,12 +202,11 @@ TEST(TestEngineSeams, AbortBackoffFiltersCandidates) {
     EXPECT_EQ(probe->seen, (std::vector<CoreId>{0, 1, 2, 3}));
 }
 
-// Differential for the patch-on-commit candidacy view: under a real
-// workload plus randomized test-session churn (starts and aborts driven
-// from inside the scheduler hook), the candidate set offered to the policy
-// every epoch must equal a fresh whole-chip predicate scan, while the
-// maintenance counters prove the engine never rescanned after boot.
-TEST(TestEngineSeams, PatchedCandidacyMatchesFreshScan) {
+// Under a real workload plus randomized test-session churn (starts and
+// aborts driven from inside the scheduler hook), the candidate set offered
+// to the policy every epoch must equal an independent whole-chip scan of
+// the published predicate, in core order.
+TEST(TestEngineSeams, CandidatesMatchPredicateUnderChurn) {
     SystemConfig cfg;
     cfg.width = 4;
     cfg.height = 4;
@@ -243,12 +244,12 @@ TEST(TestEngineSeams, PatchedCandidacyMatchesFreshScan) {
                 if (ab != 0 && sctx.now - ab < backoff) continue;
                 fresh.push_back(i);
             }
-            std::vector<CoreId> patched;
+            std::vector<CoreId> offered;
             for (const TestCandidate& c : sctx.candidates) {
-                patched.push_back(c.core);
+                offered.push_back(c.core);
             }
             ++checks;
-            if (patched != fresh) {
+            if (offered != fresh) {
                 ++mismatches;
             }
             // Randomized churn: sometimes abort the in-flight session,
@@ -288,15 +289,32 @@ TEST(TestEngineSeams, PatchedCandidacyMatchesFreshScan) {
     probe->sys = &sys;
     sys.run(400 * kMillisecond);
 
-    const TestEngine& te = sys.test_engine();
     EXPECT_GT(probe->checks, 10u);
     EXPECT_EQ(probe->mismatches, 0u);
     EXPECT_GT(probe->started, 0u);
-    EXPECT_GT(probe->aborted, 0u);  // backoff/cooling path exercised
-    // The whole run performed exactly the boot rescan; every epoch after
-    // ran on journal patches alone.
-    EXPECT_EQ(te.candidacy_rescans(), 1u);
-    EXPECT_GT(te.candidacy_patches(), 0u);
+    EXPECT_GT(probe->aborted, 0u);  // abort backoff path exercised
+}
+
+// The power lane is the one per-epoch measurement of core power: the
+// capping loop records exactly its core-order sum plus the NoC term.
+TEST(PlatformEngineSeams, MeasuredPowerIsLaneSumPlusNoc) {
+    SystemConfig cfg;
+    cfg.width = 4;
+    cfg.height = 4;
+    cfg.seed = 77;
+    cfg.enable_noc_testing = true;
+    ManycoreSystem sys(cfg);
+    sys.run(50 * kMillisecond);
+
+    PlatformEngine& pe = sys.platform_engine();
+    pe.power_epoch();
+    double lane_w = 0.0;
+    for (const double p : sys.chip().lanes().power_w) {
+        lane_w += p;
+    }
+    EXPECT_GT(pe.noc_power_w(), 0.0);
+    EXPECT_EQ(pe.power_manager().measured_power_w(),
+              lane_w + pe.noc_power_w());
 }
 
 TEST(WorkloadEngineSeams, QosQueuesServeHardRealTimeFirst) {

@@ -24,6 +24,9 @@ protected:
         }
     }
 
+    /// Chip power as the platform measures it (no NoC term).
+    double measured() const { return model_.chip_power_w(chip_, {}); }
+
     Chip chip_;
     PowerModel model_;
     PowerBudget budget_;
@@ -31,16 +34,17 @@ protected:
 
 TEST_F(PowerManagerTest, MeasuresChipPower) {
     auto mgr = make();
-    mgr.control_epoch(0, {});
-    EXPECT_NEAR(mgr.measured_power_w(), model_.chip_power_w(chip_, {}), 1e-9);
+    mgr.control_epoch(0, measured(), {});
+    EXPECT_EQ(mgr.measured_power_w(), measured());
     EXPECT_EQ(budget_.samples(), 1u);
 }
 
 TEST_F(PowerManagerTest, ExtraPowerIncluded) {
     auto mgr = make();
-    mgr.control_epoch(0, {}, 5.0);
-    EXPECT_NEAR(mgr.measured_power_w(),
-                model_.chip_power_w(chip_, {}) + 5.0, 1e-9);
+    mgr.reserve_power(1.0);
+    mgr.control_epoch(0, measured() + 5.0, {});
+    EXPECT_EQ(mgr.measured_power_w(), measured() + 5.0);
+    EXPECT_EQ(mgr.committed_power_w(), mgr.measured_power_w());
 }
 
 TEST_F(PowerManagerTest, ThrottlesWhenOverBudget) {
@@ -50,7 +54,7 @@ TEST_F(PowerManagerTest, ThrottlesWhenOverBudget) {
     make_busy(16);  // 16 busy cores at top level >> TDP at 16nm
     for (int e = 0; e < 50; ++e) {
         mgr.control_epoch(static_cast<SimTime>(e + 1) * 100 * kMicrosecond,
-                          {});
+                          measured(), {});
     }
     EXPECT_GT(mgr.throttle_steps(), 0u);
     // Power must have been brought to (or below) the setpoint.
@@ -76,7 +80,7 @@ TEST_F(PowerManagerTest, BoostsWhenSlackAndNeverOvershoots) {
     }
     for (int e = 0; e < 100; ++e) {
         mgr.control_epoch(static_cast<SimTime>(e + 1) * 100 * kMicrosecond,
-                          {});
+                          measured(), {});
     }
     EXPECT_GT(mgr.boost_steps(), 0u);
     // 4 busy cores fit comfortably: they should reach the top level.
@@ -99,14 +103,15 @@ TEST_F(PowerManagerTest, VfListenerInvoked) {
     });
     for (int e = 0; e < 20; ++e) {
         mgr.control_epoch(static_cast<SimTime>(e + 1) * 100 * kMicrosecond,
-                          {});
+                          measured(), {});
     }
     EXPECT_GT(calls, 0);
 }
 
 TEST_F(PowerManagerTest, GrantTaskLevelRespectsHeadroom) {
     auto mgr = make();
-    mgr.control_epoch(0, {});  // establish the ledger from an idle chip
+    // Establish the ledger from an idle chip.
+    mgr.control_epoch(0, measured(), {});
     // Plenty of headroom with everything idle: first grant is near the top.
     const int first = mgr.grant_task_level(0, 45.0);
     EXPECT_GE(first, chip_.max_vf_level() - 1);
@@ -123,17 +128,17 @@ TEST_F(PowerManagerTest, GrantTaskLevelRespectsHeadroom) {
 
 TEST_F(PowerManagerTest, LedgerResetsAtEpoch) {
     auto mgr = make();
-    mgr.control_epoch(0, {});
+    mgr.control_epoch(0, measured(), {});
     mgr.reserve_power(5.0);
     const double committed = mgr.committed_power_w();
     EXPECT_GT(committed, mgr.measured_power_w() + 4.9);
-    mgr.control_epoch(100 * kMicrosecond, {});
+    mgr.control_epoch(100 * kMicrosecond, measured(), {});
     EXPECT_NEAR(mgr.committed_power_w(), mgr.measured_power_w(), 1e-9);
 }
 
 TEST_F(PowerManagerTest, HeadroomNeverNegative) {
     auto mgr = make();
-    mgr.control_epoch(0, {});
+    mgr.control_epoch(0, measured(), {});
     mgr.reserve_power(1000.0);
     EXPECT_DOUBLE_EQ(mgr.headroom_w(), 0.0);
     EXPECT_THROW(mgr.reserve_power(-1.0), RequireError);
@@ -143,9 +148,9 @@ TEST_F(PowerManagerTest, PowerGatingAfterDelay) {
     PowerManagerParams p;
     p.gate_delay = kMillisecond;
     auto mgr = make(p);
-    mgr.control_epoch(0, {});
+    mgr.control_epoch(0, measured(), {});
     EXPECT_EQ(mgr.cores_gated(), 0u);
-    mgr.control_epoch(2 * kMillisecond, {});
+    mgr.control_epoch(2 * kMillisecond, measured(), {});
     EXPECT_EQ(mgr.cores_gated(), chip_.core_count());
     for (const Core& c : chip_.cores()) {
         EXPECT_EQ(c.state(), CoreState::Dark);
@@ -157,8 +162,8 @@ TEST_F(PowerManagerTest, ReservedCoresNotGated) {
     p.gate_delay = kMillisecond;
     auto mgr = make(p);
     chip_.core(3).set_reserved(true);
-    mgr.control_epoch(0, {});
-    mgr.control_epoch(2 * kMillisecond, {});
+    mgr.control_epoch(0, measured(), {});
+    mgr.control_epoch(2 * kMillisecond, measured(), {});
     EXPECT_EQ(chip_.core(3).state(), CoreState::Idle);
     EXPECT_EQ(mgr.cores_gated(), chip_.core_count() - 1);
 }
@@ -167,9 +172,9 @@ TEST_F(PowerManagerTest, TouchDefersGating) {
     PowerManagerParams p;
     p.gate_delay = kMillisecond;
     auto mgr = make(p);
-    mgr.control_epoch(0, {});
+    mgr.control_epoch(0, measured(), {});
     mgr.touch(900 * kMicrosecond, 5);
-    mgr.control_epoch(kMillisecond, {});
+    mgr.control_epoch(kMillisecond, measured(), {});
     EXPECT_EQ(chip_.core(5).state(), CoreState::Idle);  // touched recently
     EXPECT_EQ(chip_.core(6).state(), CoreState::Dark);
 }
@@ -178,8 +183,8 @@ TEST_F(PowerManagerTest, WakeCore) {
     PowerManagerParams p;
     p.gate_delay = kMillisecond;
     auto mgr = make(p);
-    mgr.control_epoch(0, {});
-    mgr.control_epoch(2 * kMillisecond, {});
+    mgr.control_epoch(0, measured(), {});
+    mgr.control_epoch(2 * kMillisecond, measured(), {});
     ASSERT_EQ(chip_.core(0).state(), CoreState::Dark);
     const double committed_before = mgr.committed_power_w();
     mgr.wake_core(3 * kMillisecond, 0);
@@ -194,8 +199,8 @@ TEST_F(PowerManagerTest, GatingDisabledKeepsCoresIdle) {
     PowerManagerParams p;
     p.enable_power_gating = false;
     auto mgr = make(p);
-    mgr.control_epoch(0, {});
-    mgr.control_epoch(seconds(1), {});
+    mgr.control_epoch(0, measured(), {});
+    mgr.control_epoch(seconds(1), measured(), {});
     for (const Core& c : chip_.cores()) {
         EXPECT_EQ(c.state(), CoreState::Idle);
     }
@@ -210,7 +215,7 @@ TEST_F(PowerManagerTest, TestingCoresNotTouchedByActuation) {
     const int test_level = chip_.core(15).vf_level();
     for (int e = 0; e < 50; ++e) {
         mgr.control_epoch(static_cast<SimTime>(e + 1) * 100 * kMicrosecond,
-                          {});
+                          measured(), {});
     }
     EXPECT_EQ(chip_.core(15).vf_level(), test_level);
 }
@@ -221,7 +226,7 @@ TEST_F(PowerManagerTest, BangBangStepsWholeChip) {
     p.enable_power_gating = false;
     auto mgr = make(p);
     make_busy(16);  // well over TDP at top level
-    mgr.control_epoch(100 * kMicrosecond, {});
+    mgr.control_epoch(100 * kMicrosecond, measured(), {});
     // Every busy core stepped down by exactly one level in one epoch.
     for (std::size_t i = 0; i < 16; ++i) {
         EXPECT_EQ(chip_.core(static_cast<CoreId>(i)).vf_level(),
@@ -234,7 +239,7 @@ TEST_F(PowerManagerTest, BangBangGrantsMaxUnconditionally) {
     PowerManagerParams p;
     p.mode = CappingMode::BangBang;
     auto mgr = make(p);
-    mgr.control_epoch(0, {});
+    mgr.control_epoch(0, measured(), {});
     mgr.reserve_power(1e6);  // ledger ignored in naive mode
     EXPECT_EQ(mgr.grant_task_level(0, 45.0), chip_.max_vf_level());
 }
@@ -249,7 +254,7 @@ TEST_F(PowerManagerTest, PriorityLookupShieldsImportantCores) {
         [](CoreId id) { return id < 4 ? 2 : 0; });
     for (int e = 0; e < 50; ++e) {
         mgr.control_epoch(static_cast<SimTime>(e + 1) * 100 * kMicrosecond,
-                          {});
+                          measured(), {});
     }
     // The chip is far over budget, but the protected cores must keep a
     // strictly higher level than the average victim.

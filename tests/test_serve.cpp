@@ -561,6 +561,24 @@ TEST_F(ServeServiceTest, NegativeDurationOverridesAre400) {
               200);
 }
 
+TEST_F(ServeServiceTest, NonFiniteOverrideIs400) {
+    // A string override reaches the config parser verbatim, and std::stod
+    // reads "inf": it must be a negatively cached 400 naming the key, not
+    // a run under an infinite power budget.
+    const std::string body =
+        "{\"schema\":\"mcs.whatif_query.v1\",\"snapshot\":\"warm\","
+        "\"overrides\":{\"tdp_scale\":\"inf\"}}";
+    const HttpResponse first = service_.handle(whatif_request(body));
+    EXPECT_EQ(first.status, 400) << first.body;
+    EXPECT_NE(first.body.find("tdp_scale"), std::string::npos) << first.body;
+    EXPECT_EQ(header(first, "X-Cache"), "miss");
+    const HttpResponse second = service_.handle(whatif_request(body));
+    EXPECT_EQ(second.status, 400);
+    EXPECT_EQ(header(second, "X-Cache"), "hit");
+    EXPECT_EQ(second.body, first.body);
+    EXPECT_EQ(service_.cache().negative_size(), 1u);
+}
+
 TEST_F(ServeServiceTest, BadOverrideBodyHidesTheSourceTree) {
     // A 400 body names the failing check by file basename and line, never
     // by the build's absolute path.
